@@ -47,6 +47,10 @@ class _UsageError(Exception):
     pass
 
 
+class _InputError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract here reserves 2 for
     # unreadable graph input, so usage problems become exit 1 instead
@@ -70,15 +74,32 @@ def _set(mask_vertices: Iterable[int]) -> str:
     return "{" + inner + "}"
 
 
+def _read_lines(path: str | None) -> list[str]:
+    """Stripped lines of an ASCII file, or of stdin when path is None.
+
+    A file that cannot be opened or decoded raises _InputError, which
+    main reports in one line as exit 2.
+    """
+    try:
+        if path is None:
+            return [line.strip() for line in sys.stdin]
+        with open(path, encoding="ascii") as handle:
+            return [line.strip() for line in handle]
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except UnicodeDecodeError:
+        reason = "not ASCII text"
+    raise _InputError(f"cannot read {path or 'stdin'}: {reason}")
+
+
 def _records(args_graphs: list[str]) -> list[str]:
     """Resolve positionals to graph6 records; stdin when none given."""
     if not args_graphs:
-        return [line for line in (l.strip() for l in sys.stdin) if line]
+        return [line for line in _read_lines(None) if line]
     records = []
     for item in args_graphs:
         if os.path.exists(item):
-            with open(item, encoding="ascii") as handle:
-                records.extend(line for line in (l.strip() for l in handle) if line)
+            records.extend(line for line in _read_lines(item) if line)
         else:
             records.append(item)
     return records
@@ -199,15 +220,7 @@ def _cmd_verify(args) -> int:
         graphs = list(enumerate_connected_graphs(args.n))
         n = args.n
     else:
-        if args.stream == "-":
-            lines = [line.strip() for line in sys.stdin]
-        else:
-            try:
-                with open(args.stream, encoding="ascii") as handle:
-                    lines = [line.strip() for line in handle]
-            except OSError as exc:
-                print(exc, file=sys.stderr)
-                return EXIT_PARSE
+        lines = _read_lines(None if args.stream == "-" else args.stream)
         graphs = []
         for index, line in enumerate(lines, start=1):
             if not line:
@@ -307,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"oldset: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _InputError as exc:
+        print(f"oldset: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def run() -> None:

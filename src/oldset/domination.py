@@ -8,10 +8,15 @@ set, and for those V itself always works.
 
 Both solvers return the same gamma and the same witness: the OLD set of
 minimum size whose mask is numerically least.  The brute-force solver
-guarantees this by scanning each cardinality in ascending mask order;
-the branch-and-bound solver re-derives it after the optimum is known,
-scanning only size-gamma supersets of the forced vertices, which is
-sound because every OLD set contains every forced vertex.
+guarantees this by scanning each cardinality in ascending mask order.
+The branch-and-bound solver settles it in its one search.  Its
+incumbent is the least OLD set seen so far, by size and then by mask,
+and a node whose chosen set is as large as the incumbent is a leaf: the
+set is tested if its mask is smaller and cut otherwise.  This tie rule
+is sound because no node on the path to the least optimum W is cut.
+There the chosen set lies inside W, so it ties the incumbent only by
+being W, and chosen plus undecided contains W, so the feasibility cut
+never fires (supersets of OLD sets are OLD sets).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .graphs import (
     VertexSet,
     connected_components,
     is_locatable,
+    is_old_set,
     iter_bits,
     vertices_of,
 )
@@ -50,9 +56,9 @@ BRANCH_AND_BOUND = "branch-and-bound"
 class SolveResult:
     """Outcome of one exact solve.
 
-    witness is the optimal OLD set as a mask, nodes_explored counts the
-    candidate sets (brute force) or search-tree nodes (branch and bound)
-    examined before the optimum was proven.
+    witness is the optimal OLD set as a mask.  nodes_explored counts the
+    candidate sets examined (brute force) or the nodes of the one
+    branch-and-bound search, which finds gamma and the witness together.
     """
 
     gamma: int
@@ -72,17 +78,6 @@ def locates(g: Graph, s: VertexSet, v: int) -> bool:
         raise ValueError(f"vertex {v} is not in 0..{g.n - 1}")
     trace = g.adj[v] & s
     return all(g.adj[w] & s != trace for w in range(g.n) if w != v)
-
-
-def is_old_set(g: Graph, s: VertexSet) -> bool:
-    """True iff s is total dominating and all traces are distinct."""
-    seen = set()
-    for v in range(g.n):
-        trace = g.adj[v] & s
-        if trace == 0 or trace in seen:
-            return False
-        seen.add(trace)
-    return True
 
 
 def _require_locatable(g: Graph) -> None:
@@ -119,37 +114,16 @@ def old_number_bruteforce(g: Graph) -> SolveResult:
     raise AssertionError("V(G) is an OLD set of every locatable graph")
 
 
-def _lex_min_witness(g: Graph, forced: VertexSet, gamma: int) -> VertexSet:
-    """Least mask of an OLD set with exactly gamma vertices.
-
-    Every OLD set contains forced, so candidates are forced plus a
-    choice of free vertices; choices are swept in ascending mask order,
-    which is ascending order of the full candidate mask as well.
-    """
-    free = [v for v in range(g.n) if not forced >> v & 1]
-    spare = gamma - forced.bit_count()
-    if spare == 0:
-        return forced
-    pick = (1 << spare) - 1
-    limit = 1 << len(free)
-    while pick < limit:
-        s = forced
-        for i in iter_bits(pick):
-            s |= 1 << free[i]
-        if is_old_set(g, s):
-            return s
-        pick = _next_same_popcount(pick)
-    raise AssertionError("an OLD set of the optimal size must exist")
-
-
 def old_number(g: Graph) -> SolveResult:
     """gamma_OL by branch and bound over the non-forced vertices.
 
-    Forced vertices are committed up front.  Branching follows a static
-    order, most separating vertex first; a branch dies when the chosen
-    set reaches the incumbent size or when even the chosen set plus all
-    undecided vertices fails domination or location.  When every vertex
-    is forced the root is immediately optimal (one node explored).
+    Forced vertices are committed up front and the incumbent starts at
+    the whole vertex set.  Branching follows a static order, most
+    separating vertex first.  A node is a leaf when its chosen set is
+    OLD, is at least as large as the incumbent, or when even the chosen
+    set plus all undecided vertices fails domination or location.  When
+    every vertex is forced the root is immediately optimal (one node
+    explored).
     """
     _require_locatable(g)
     n = g.n
@@ -173,35 +147,31 @@ def old_number(g: Graph) -> SolveResult:
     for i in range(len(order) - 1, -1, -1):
         undecided[i] = undecided[i + 1] | 1 << order[i]
 
-    best: int | None = None
+    best = (1 << n) - 1
+    best_size = n
     nodes = 0
 
-    def feasible(reachable: VertexSet) -> bool:
-        seen = set()
-        for v in range(n):
-            trace = adj[v] & reachable
-            if trace == 0 or trace in seen:
-                return False
-            seen.add(trace)
-        return True
-
     def descend(chosen: VertexSet, depth: int) -> None:
-        nonlocal best, nodes
+        nonlocal best, best_size, nodes
         nodes += 1
-        if best is not None and chosen.bit_count() >= best:
+        size = chosen.bit_count()
+        if size > best_size or size == best_size and chosen >= best:
             return
         if is_old_set(g, chosen):
-            best = chosen.bit_count()
+            best, best_size = chosen, size
             return
-        if depth == len(order) or not feasible(chosen | undecided[depth]):
+        if (
+            size == best_size
+            or depth == len(order)
+            or not is_old_set(g, chosen | undecided[depth])
+        ):
             return
         v = order[depth]
         descend(chosen | 1 << v, depth + 1)
         descend(chosen, depth + 1)
 
     descend(forced, 0)
-    assert best is not None
-    return SolveResult(best, _lex_min_witness(g, forced, best), nodes, BRANCH_AND_BOUND)
+    return SolveResult(best_size, best, nodes, BRANCH_AND_BOUND)
 
 
 def old_number_disconnected(g: Graph) -> SolveResult:

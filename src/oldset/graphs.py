@@ -22,6 +22,7 @@ __all__ = [
     "from_edges",
     "open_neighbourhood",
     "open_twins",
+    "is_old_set",
     "is_locatable",
     "is_connected",
     "component_masks",
@@ -165,19 +166,26 @@ def open_twins(g: Graph) -> list[tuple[int, int]]:
     return pairs
 
 
-def is_locatable(g: Graph) -> bool:
-    """True iff g has no isolated vertex and no open twins.
-
-    Exactly these graphs admit an OLD set (the whole vertex set then
-    works).  The order-0 graph is vacuously locatable.
-    """
+def is_old_set(g: Graph, s: VertexSet) -> bool:
+    """True iff s is total dominating and all traces N(v) & s are distinct."""
     seen = set()
-    for v in range(g.n):
-        row = g.adj[v]
-        if row == 0 or row in seen:
+    for row in g.adj:
+        trace = row & s
+        if trace == 0 or trace in seen:
             return False
-        seen.add(row)
+        seen.add(trace)
     return True
+
+
+def is_locatable(g: Graph) -> bool:
+    """True iff the whole vertex set is an OLD set of g.
+
+    Its traces are the neighbourhoods themselves, so this holds exactly
+    when g has no isolated vertex and no open twins, and these are the
+    graphs that admit any OLD set (an OLD set's supersets are OLD sets
+    too).  The order-0 graph is vacuously locatable.
+    """
+    return is_old_set(g, (1 << g.n) - 1)
 
 
 class NotLocatableError(ValueError):

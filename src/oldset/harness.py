@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
 
-from .domination import is_old_set, old_number, old_number_bruteforce
+from .domination import old_number, old_number_bruteforce
 from .forced import bondy_check, classify_forced
 from .graph6 import to_graph6
 from .graphs import (
@@ -31,6 +31,7 @@ from .graphs import (
     Graph,
     canonical_form,
     is_locatable,
+    is_old_set,
     iter_bits,
 )
 from .halfgraphs import is_union_of_half_graphs

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import oldset
 from oldset import from_edges, half_graph, to_graph6
 from oldset.cli import main
 
@@ -202,28 +206,49 @@ def test_verify_missing_stream_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["solve"], ["recognize"], ["verify", "--stream"]]
+)
+@pytest.mark.parametrize("unreadable", ["non_ascii", "directory"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, unreadable):
+    if unreadable == "non_ascii":
+        path = tmp_path / "latin1.g6"
+        path.write_bytes(b"A_\n\xe9\n")
+    else:
+        path = tmp_path
+    code, out, err = _run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("oldset: cannot read ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = _run(capsys, "frobnicate")
     assert code == 1
 
 
-def test_entry_point_via_interpreter():
-    done = subprocess.run(
-        [sys.executable, "-m", "oldset", "gen", "--k", "2"],
+def _python_m_oldset(*argv, **kwargs):
+    # the child imports the same oldset as this process, installed or not
+    src = os.path.dirname(os.path.dirname(oldset.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "oldset", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
     )
+
+
+def test_entry_point_via_interpreter():
+    done = _python_m_oldset("gen", "--k", "2")
     assert done.returncode == 0
     assert done.stdout.strip() == to_graph6(half_graph(2))
 
 
 def test_stdin_round_trip_via_interpreter():
     record = to_graph6(half_graph(3))
-    done = subprocess.run(
-        [sys.executable, "-m", "oldset", "solve", "--format", "structured"],
-        input=record + "\n",
-        capture_output=True,
-        text=True,
-    )
+    done = _python_m_oldset("solve", "--format", "structured", input=record + "\n")
     assert done.returncode == 0
     assert json.loads(done.stdout)["gamma"] == 6

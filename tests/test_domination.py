@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from oldset import (
     BRANCH_AND_BOUND,
     BRUTEFORCE,
@@ -21,6 +23,7 @@ from oldset import (
     old_number,
     old_number_bruteforce,
     old_number_disconnected,
+    parse_graph6,
 )
 
 
@@ -145,6 +148,23 @@ def test_branch_and_bound_all_forced_fast_path():
     assert res.gamma == 10
     assert res.nodes_explored == 1
     assert res.method == BRANCH_AND_BOUND
+
+
+@pytest.mark.parametrize(
+    "record, gamma, witness, nodes",
+    [
+        ("DhC", 4, [0, 1, 2, 3], 11),  # P_5
+        ("KhCGGC@?G?o@", 8, [0, 1, 2, 3, 6, 7, 8, 9], 409),  # C_12
+        ("IheA@GUAo", 5, [0, 1, 2, 3, 4], 421),  # Petersen graph
+        # the search meets {0, 2, 3, 4} first; the tie rule must replace it
+        ("DBg", 4, [0, 1, 3, 4], 11),
+    ],
+)
+def test_branch_and_bound_search_tree_is_pinned(record, gamma, witness, nodes):
+    res = old_number(parse_graph6(record))
+    assert res.gamma == gamma
+    assert res.witness == mask_of(witness)
+    assert res.nodes_explored == nodes
 
 
 def test_branch_and_bound_matches_bruteforce_small():
