@@ -306,7 +306,11 @@ def _build_parser() -> _Parser:
         "--format", choices=("text", "structured"), default="text"
     )
     verify.add_argument(
-        "--jobs", type=_positive, default=1, help="worker processes"
+        "--jobs",
+        type=_positive,
+        default=1,
+        help="worker processes, capped at the CPU count and at one per "
+        "chunk of work",
     )
     verify.set_defaults(entry=_cmd_verify)
     return parser

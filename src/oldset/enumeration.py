@@ -4,9 +4,20 @@ Classes of order n come from classes of order n - 1 by adding one
 vertex.  For the connected classes the new vertex's neighbourhood must
 meet every component of the parent, and every connected graph arises
 this way: delete any vertex, and what was its neighbourhood meets every
-component of the rest.  Duplicates are discarded through
-:func:`canonical_form`, and representatives are returned canonically
-labeled, sorted by certificate, so the stream is deterministic.
+component of the rest.  Duplicates are discarded through the canonical
+certificate, and representatives are returned canonically labeled, with
+that certificate cached, sorted by certificate, so the stream is
+deterministic.
+
+Each parent is extended once per orbit of neighbourhood masks under its
+automorphisms (McKay 1998, *Isomorph-free exhaustive generation*):
+masks m and p(m) for an automorphism p give children that p, extended
+by fixing the new vertex, maps onto each other.  The generators come
+from a canonical labeling search of the parent.  A subgroup of the
+automorphism group would be enough for soundness, because its orbits
+only split the full ones and the certificate dict still drops every
+duplicate child; the search in fact yields the whole group, so each
+orbit is canonicalised once.
 
 Counts through MAX_BUILTIN_ORDER match the standard tables: 1, 1, 2, 6,
 21, 112, 853, 11117 connected classes for n = 1..8.
@@ -15,10 +26,15 @@ Counts through MAX_BUILTIN_ORDER match the standard tables: 1, 1, 2, 6,
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .graph6 import parse_graph6
-from .graphs import Graph, canonical_form, component_masks
+from .graphs import (
+    Graph,
+    _canonical_labeling,
+    _graph,
+    component_masks,
+    iter_bits,
+)
 
 __all__ = ["MAX_BUILTIN_ORDER", "enumerate_connected_graphs"]
 
@@ -30,41 +46,85 @@ def _extend(parent: Graph, mask: int) -> Graph:
     n = parent.n + 1
     rows = [row | (mask >> v & 1) << (n - 1) for v, row in enumerate(parent.adj)]
     rows.append(mask)
-    return Graph(n, rows)
+    return _graph(n, tuple(rows))
+
+
+def _orbit_representatives(
+    masks: Iterable[int], gens: tuple[tuple[int, ...], ...]
+) -> Iterator[int]:
+    """The first mask of each orbit under the group gens generate.
+
+    masks must be closed under the group, and their order decides which
+    member of an orbit stands for it.
+    """
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        yield mask
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            current = stack.pop()
+            for p in gens:
+                image = 0
+                for v in iter_bits(current):
+                    image |= 1 << p[v]
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+
+
+def _children(
+    parents: tuple[Graph, ...], masks_of: Callable[[Graph], Iterable[int]]
+) -> tuple[Graph, ...]:
+    """The classes one vertex larger, joined to the masks_of each parent."""
+    seen: dict[bytes, Graph] = {}
+    for parent in parents:
+        # parents are canonically labeled, so the generators act on them
+        gens = _canonical_labeling(parent)[1]
+        for mask in _orbit_representatives(masks_of(parent), gens):
+            child = _canonical_labeling(_extend(parent, mask))[0]
+            seen.setdefault(child._canon, child)
+    return tuple(seen[cert] for cert in sorted(seen))
+
+
+def _every_mask(parent: Graph) -> range:
+    return range(1 << parent.n)
+
+
+def _masks_meeting_every_component(parent: Graph) -> Iterator[int]:
+    # automorphisms permute components, so this set is closed under them
+    parts = component_masks(parent)
+    return (
+        mask
+        for mask in range(1, 1 << parent.n)
+        if all(mask & part for part in parts)
+    )
 
 
 @lru_cache(maxsize=None)
 def _all_classes(n: int) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class of order n."""
     if n == 0:
-        return (Graph(0, ()),)
-    seen: dict[bytes, None] = {}
-    for parent in _all_classes(n - 1):
-        for mask in range(1 << (n - 1)):
-            seen.setdefault(canonical_form(_extend(parent, mask)), None)
-    return tuple(parse_graph6(cert.decode("ascii")) for cert in sorted(seen))
+        return (_graph(0, ()),)
+    return _children(_all_classes(n - 1), _every_mask)
 
 
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return _all_classes(1)
-    seen: dict[bytes, None] = {}
-    for parent in _all_classes(n - 1):
-        parts = component_masks(parent)
-        for mask in range(1, 1 << (n - 1)):
-            if any(mask & part == 0 for part in parts):
-                continue
-            seen.setdefault(canonical_form(_extend(parent, mask)), None)
-    return tuple(parse_graph6(cert.decode("ascii")) for cert in sorted(seen))
+    return _children(_all_classes(n - 1), _masks_meeting_every_component)
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """Yield each connected isomorphism class of order n exactly once.
 
-    Representatives are canonically labeled and stream in certificate
-    order.  Only 1 <= n <= MAX_BUILTIN_ORDER is built in; larger orders
-    are out of scope for the exhaustive machinery.
+    Representatives are canonically labeled, carry their certificate so
+    canonical_form on them is free, and stream in certificate order.
+    Only 1 <= n <= MAX_BUILTIN_ORDER is built in; larger orders are out
+    of scope for the exhaustive machinery.
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(

@@ -94,8 +94,10 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        # immutability guard breaks slot-based pickling; rebuild instead
-        return (Graph, (self.n, self.adj))
+        # immutability guard breaks slot-based pickling; rebuild instead,
+        # unvalidated and with any cached certificate: only the package's
+        # own process-pool workers unpickle these bytes
+        return (_graph, (self.n, self.adj, getattr(self, "_canon", None)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -121,6 +123,20 @@ class Graph:
             for u in range(self.n)
             for v in iter_bits(self.adj[u] >> (u + 1) << (u + 1))
         ]
+
+
+def _graph(n: int, adj: tuple[VertexSet, ...], canon: bytes | None = None) -> Graph:
+    """Trusted constructor: no validation, optionally a cached certificate.
+
+    Only for rows built inside the package, which are symmetric, loopless
+    and in range by construction; outside input goes through Graph().
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    if canon is not None:
+        object.__setattr__(g, "_canon", canon)
+    return g
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -341,23 +357,42 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     found so far and pruning as soon as the prefix is beaten.  Vertices
     interchangeable by a transposition (twins) are tried once per
     position.  Raises ValueError beyond max_order rather than stalling.
+
+    Along the way the search proves automorphisms: a leaf that ties the
+    best certificate differs from the best leaf by one, and each twin it
+    skips is a transposition.  Pruned subtrees hold no best leaf, and a
+    skipped one is a visited subtree's image under a twin swap, so every
+    best leaf is reached from the first through these, and together
+    they generate the whole automorphism group.  The enumeration reads
+    them to extend each parent once per orbit of neighbourhoods.
     """
     try:
         return g._canon
     except AttributeError:
         pass
-    n = g.n
-    if n > max_order:
+    if g.n > max_order:
         raise ValueError(
-            f"canonical_form on order {n} exceeds max_order={max_order}; "
+            f"canonical_form on order {g.n} exceeds max_order={max_order}; "
             "raise max_order to opt in"
         )
-    if n <= 1:
-        cert = _g6_bytes(n, g.adj)
-        object.__setattr__(g, "_canon", cert)
-        return cert
+    cert = _canonical_labeling(g)[0]._canon
+    object.__setattr__(g, "_canon", cert)
+    return cert
 
+
+def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """g canonically relabeled, and generators of its automorphism group.
+
+    The relabeled graph carries its certificate in the cache, so
+    canonical_form on it does no second search.  A generator p maps
+    vertex i of the relabeled graph to p[i].  No order limit applies;
+    canonical_form holds that gate.
+    """
+    n = g.n
     adj = g.adj
+    if n <= 1:
+        return _graph(n, adj, _g6_bytes(n, adj)), ()
+
     degs = [row.bit_count() for row in adj]
     slot_degs = sorted(degs)
     twin = _twin_masks(g)
@@ -365,7 +400,11 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     placed: list[int] = []
     cols = [0] * n
     best: list[int] | None = None
-    best_perm: list[int] | None = None
+    best_perm: list[int] = []
+    # automorphisms of g in its own labels: images of 0..n-1 from tied
+    # leaves, and skipped twin swaps as pairs
+    tied: list[list[int]] = []
+    swaps: set[tuple[int, int]] = set()
     # bumped on every best improvement; lets an ancestor notice that the
     # current prefix now matches best exactly
     version = 0
@@ -377,6 +416,13 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
                 best = cols.copy()
                 best_perm = placed.copy()
                 version += 1
+            else:
+                # same matrix as best, so best_perm[i] -> placed[i] is an
+                # automorphism
+                image = [0] * n
+                for u, v in zip(best_perm, placed):
+                    image[u] = v
+                tied.append(image)
             return
         want = slot_degs[slot]
         used = mask_of(placed)
@@ -393,6 +439,8 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
         tried = 0
         for col, v in ranked:
             if twin[v] & tried:
+                # v's subtree is a tried twin's under their swap
+                swaps.add((v, (twin[v] & tried).bit_length() - 1))
                 continue
             tried |= 1 << v
             if best is not None and tight:
@@ -412,12 +460,15 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
         return
 
     descend(0, False)
-    assert best_perm is not None
     index = {v: slot for slot, v in enumerate(best_perm)}
     rows = [0] * n
     for slot, v in enumerate(best_perm):
         for u in iter_bits(adj[v]):
             rows[slot] |= 1 << index[u]
-    cert = _g6_bytes(n, tuple(rows))
-    object.__setattr__(g, "_canon", cert)
-    return cert
+    canon = tuple(rows)
+    gens = {tuple(index[image[v]] for v in best_perm) for image in tied}
+    for u, v in swaps:
+        p = list(range(n))
+        p[index[u]], p[index[v]] = index[v], index[u]
+        gens.add(tuple(p))
+    return _graph(n, canon, _g6_bytes(n, canon)), tuple(sorted(gens))

@@ -17,6 +17,7 @@ structured rendering omits wall-clock time for the same reason.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -186,7 +187,8 @@ def run_harness(
 
     checks selects any subset of {theorem, bondy, prop2}; solver picks
     the exact solver by name; jobs > 1 fans the per-graph work out to a
-    process pool, which cannot change the report.
+    process pool of at most min(jobs, CPU count, chunks of work)
+    workers, which cannot change the report.
     """
     unknown = checks - ALL_CHECKS
     if unknown:
@@ -198,11 +200,15 @@ def run_harness(
     started = time.perf_counter()
     batch = list(graphs)
     work = partial(_examine, n=n, checks=checks, solver=solver)
-    if jobs == 1 or len(batch) < 2:
+    # the pool forks every worker on its first task, so never ask for
+    # more than there are cores, or chunks to hand out
+    workers = min(jobs, os.cpu_count() or 1)
+    chunk = max(1, len(batch) // (workers * 8))
+    workers = min(workers, -(-len(batch) // chunk))
+    if workers <= 1:
         rows = [work(g) for g in batch]
     else:
-        chunk = max(1, len(batch) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(work, batch, chunksize=chunk))
 
     report = HarnessReport(n=n, record_errors=list(record_errors))

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 from oldset import (
+    Graph,
     canonical_form,
     enumerate_connected_graphs,
+    from_edges,
     is_connected,
+    iter_bits,
     to_graph6,
 )
+from oldset.enumeration import _all_classes, _orbit_representatives
+from oldset.graphs import _canonical_labeling
 
 # connected classes per order; 1..6 re-derived by the Burnside oracle
 # below, 7 and 8 from the standard enumeration tables
@@ -115,6 +121,8 @@ def test_representatives_are_connected_distinct_and_canonical():
             assert is_connected(g)
             cert = canonical_form(g)
             assert to_graph6(g).encode("ascii") == cert
+            # the cached certificate is the one a fresh search finds
+            assert canonical_form(Graph(n, g.adj)) == cert
             certs.add(cert)
         assert len(certs) == CONNECTED_COUNTS[n]
 
@@ -122,8 +130,6 @@ def test_representatives_are_connected_distinct_and_canonical():
 def test_canonical_form_separates_all_small_classes():
     # group every labeled graph on 5 vertices by canonical form, then
     # confirm the grouping with a permutation-search isomorphism oracle
-    from oldset import from_edges
-
     n = 5
     slots = _edge_slots(n)
     by_cert: dict[bytes, list[frozenset]] = {}
@@ -152,3 +158,48 @@ def test_rejects_out_of_range_orders():
         except ValueError:
             continue
         raise AssertionError(f"order {bad} accepted")
+
+
+def _image(mask: int, perm) -> int:
+    out = 0
+    for v in iter_bits(mask):
+        out |= 1 << perm[v]
+    return out
+
+
+def _is_automorphism(g: Graph, perm) -> bool:
+    return all(_image(g.adj[v], perm) == g.adj[perm[v]] for v in range(g.n))
+
+
+def _scrambled_small_graphs():
+    # every class of order <= 6, each also under a random relabeling
+    rng = random.Random(98)
+    for n in range(7):
+        for g in _all_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield g
+            yield from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_labeling_generators_are_automorphisms():
+    graphs = list(_scrambled_small_graphs())
+    graphs += list(_all_classes(7))
+    for g in graphs:
+        canon, gens = _canonical_labeling(g)
+        for perm in gens:
+            assert sorted(perm) == list(range(g.n))
+            assert _is_automorphism(canon, perm)
+
+
+def test_mask_orbits_match_brute_force_automorphisms():
+    for g in _scrambled_small_graphs():
+        canon, gens = _canonical_labeling(g)
+        n = canon.n
+        group = [p for p in permutations(range(n)) if _is_automorphism(canon, p)]
+        orbits = {frozenset(_image(m, p) for p in group) for m in range(1 << n)}
+        reps = list(_orbit_representatives(range(1 << n), gens))
+        assert len(reps) == len(orbits)
+        assert {frozenset(_image(m, p) for p in group) for m in reps} == orbits
+        # the first mask of each orbit stands for it
+        assert reps == sorted(min(orbit) for orbit in orbits)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
+import oldset.harness
 from oldset import (
     HarnessReport,
     canonical_form,
@@ -86,6 +88,52 @@ def test_report_deterministic_across_worker_counts():
     solo = run_harness(graphs, 5)
     pooled = run_harness(graphs, 5, jobs=3)
     assert solo.to_json() == pooled.to_json()
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor without starting a process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
+    from oldset.cli import main
+
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return _InProcessPool()
+
+    monkeypatch.setattr(oldset.harness, "ProcessPoolExecutor", pool)
+    graphs = list(enumerate_connected_graphs(5))  # 21 graphs
+    solo = run_harness(graphs, 5).to_json()
+    for cores, jobs, count, expected in [
+        (2, 5000, 21, 2),   # never more workers than cores
+        (2, 2, 21, 2),      # two jobs on two cores keep both
+        (64, 5000, 21, 21),  # one graph per chunk, one chunk per worker
+        (64, 5000, 3, 3),
+        (64, 8, 21, 8),
+        (None, 4, 21, None),  # unknown core count: run in process
+        (64, 4, 1, None),
+    ]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        sizes.clear()
+        report = run_harness(graphs[:count], 5, jobs=jobs)
+        assert sizes == ([] if expected is None else [expected])
+        if count == len(graphs):
+            assert report.to_json() == solo
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes.clear()
+    assert main(["verify", "--n", "5", "--jobs", "5000", "--format", "structured"]) == 0
+    assert sizes == [2]
 
 
 def test_report_deterministic_across_solvers():
