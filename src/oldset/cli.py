@@ -11,6 +11,11 @@ means stdin.
 Exit codes: 0 success (for verify: theorem holds, no violations),
 1 usage error, 2 unreadable input, 3 graph admits no OLD set,
 4 the sweep found a violation.
+
+A bad record never stops a run.  solve and recognize print the error
+for each unparsable record on stderr and go on with the rest, then exit
+2 if any record failed to parse, else 3 if any solve input admits no
+OLD set; verify --stream lists such records in its report.
 """
 
 from __future__ import annotations
@@ -107,18 +112,19 @@ def _records(args_graphs: list[str]) -> list[str]:
 
 def _cmd_solve(args) -> int:
     solver = old_number_bruteforce if args.solver == BRUTEFORCE else old_number
-    status = EXIT_OK
+    bad_record = unlocatable = False
     for record in _records(args.graphs):
         try:
             g = parse_graph6(record)
         except GraphFormatError as exc:
             print(exc, file=sys.stderr)
-            return EXIT_PARSE
+            bad_record = True
+            continue
         try:
             result = solver(g)
         except NotLocatableError as exc:
             print(f"{record}: {exc}", file=sys.stderr)
-            status = EXIT_NOT_LOCATABLE
+            unlocatable = True
             continue
         parts = classify_forced(g)
         if args.format == "structured":
@@ -144,7 +150,9 @@ def _cmd_solve(args) -> int:
             print(f"  location-forced = {_set(vertices_of(parts.location_forced))}")
             print(f"  unforced = {_set(vertices_of(parts.unforced))}")
             print(f"  method = {result.method}, nodes = {result.nodes_explored}")
-    return status
+    if bad_record:
+        return EXIT_PARSE
+    return EXIT_NOT_LOCATABLE if unlocatable else EXIT_OK
 
 
 def _cmd_gen(args) -> int:
@@ -176,12 +184,14 @@ def _recognize_payload(g: Graph, record: str) -> dict:
 
 
 def _cmd_recognize(args) -> int:
+    status = EXIT_OK
     for record in _records(args.graphs):
         try:
             g = parse_graph6(record)
         except GraphFormatError as exc:
             print(exc, file=sys.stderr)
-            return EXIT_PARSE
+            status = EXIT_PARSE
+            continue
         payload = _recognize_payload(g, record)
         if args.format == "structured":
             print(_dump(payload))
@@ -204,7 +214,7 @@ def _cmd_recognize(args) -> int:
                 print(f"  component {entry['vertices']}: {verdict}")
             yes = "yes" if payload["union_of_half_graphs"] else "no"
             print(f"  union of half-graphs: {yes}")
-    return EXIT_OK
+    return status
 
 
 def _cmd_verify(args) -> int:

@@ -1,10 +1,11 @@
 """Isomorph-free enumeration of small connected graphs.
 
-Classes of order n come from classes of order n - 1 by adding one
-vertex.  For the connected classes the new vertex's neighbourhood must
-meet every component of the parent, and every connected graph arises
-this way: delete any vertex, and what was its neighbourhood meets every
-component of the rest.  Duplicates are discarded through the canonical
+Connected classes of order n come from connected classes of order n - 1
+by adding one vertex joined to any nonempty set of the parent's
+vertices; such a child is connected because the parent is.  Every
+connected graph of order n >= 2 arises this way: it has a vertex whose
+deletion leaves it connected (a leaf of any spanning tree), and that
+vertex has a neighbour.  Duplicates are discarded through the canonical
 certificate, and representatives are returned canonically labeled, with
 that certificate cached, sorted by certificate, so the stream is
 deterministic.
@@ -26,15 +27,9 @@ Counts through MAX_BUILTIN_ORDER match the standard tables: 1, 1, 2, 6,
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .graphs import (
-    Graph,
-    _canonical_labeling,
-    _graph,
-    component_masks,
-    iter_bits,
-)
+from .graphs import Graph, _canonical_labeling, _graph, iter_bits
 
 __all__ = ["MAX_BUILTIN_ORDER", "enumerate_connected_graphs"]
 
@@ -75,47 +70,19 @@ def _orbit_representatives(
                     stack.append(image)
 
 
-def _children(
-    parents: tuple[Graph, ...], masks_of: Callable[[Graph], Iterable[int]]
-) -> tuple[Graph, ...]:
-    """The classes one vertex larger, joined to the masks_of each parent."""
+@lru_cache(maxsize=None)
+def _connected_classes(n: int) -> tuple[Graph, ...]:
+    """One canonical representative per connected class of order n."""
+    if n == 1:
+        return (_canonical_labeling(_graph(1, (0,)))[0],)
     seen: dict[bytes, Graph] = {}
-    for parent in parents:
+    for parent in _connected_classes(n - 1):
         # parents are canonically labeled, so the generators act on them
         gens = _canonical_labeling(parent)[1]
-        for mask in _orbit_representatives(masks_of(parent), gens):
+        for mask in _orbit_representatives(range(1, 1 << parent.n), gens):
             child = _canonical_labeling(_extend(parent, mask))[0]
             seen.setdefault(child._canon, child)
     return tuple(seen[cert] for cert in sorted(seen))
-
-
-def _every_mask(parent: Graph) -> range:
-    return range(1 << parent.n)
-
-
-def _masks_meeting_every_component(parent: Graph) -> Iterator[int]:
-    # automorphisms permute components, so this set is closed under them
-    parts = component_masks(parent)
-    return (
-        mask
-        for mask in range(1, 1 << parent.n)
-        if all(mask & part for part in parts)
-    )
-
-
-@lru_cache(maxsize=None)
-def _all_classes(n: int) -> tuple[Graph, ...]:
-    """One canonical representative per isomorphism class of order n."""
-    if n == 0:
-        return (_graph(0, ()),)
-    return _children(_all_classes(n - 1), _every_mask)
-
-
-@lru_cache(maxsize=None)
-def _connected_classes(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return _all_classes(1)
-    return _children(_all_classes(n - 1), _masks_meeting_every_component)
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:

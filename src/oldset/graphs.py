@@ -359,12 +359,14 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     position.  Raises ValueError beyond max_order rather than stalling.
 
     Along the way the search proves automorphisms: a leaf that ties the
-    best certificate differs from the best leaf by one, and each twin it
-    skips is a transposition.  Pruned subtrees hold no best leaf, and a
-    skipped one is a visited subtree's image under a twin swap, so every
-    best leaf is reached from the first through these, and together
-    they generate the whole automorphism group.  The enumeration reads
-    them to extend each parent once per orbit of neighbourhoods.
+    best certificate differs from the best leaf by one.  Pruned subtrees
+    hold no best leaf, and a skipped one is a visited subtree's image
+    under a twin swap, so every best leaf is reached from the first
+    through tied leaves and twin swaps.  Twins form classes (open and
+    closed twins never share a vertex), and the swaps of consecutive
+    members of each class generate all of its swaps, so these and the
+    tied leaves generate the whole automorphism group.  The enumeration
+    reads them to extend each parent once per orbit of neighbourhoods.
     """
     try:
         return g._canon
@@ -401,10 +403,8 @@ def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     cols = [0] * n
     best: list[int] | None = None
     best_perm: list[int] = []
-    # automorphisms of g in its own labels: images of 0..n-1 from tied
-    # leaves, and skipped twin swaps as pairs
+    # automorphisms of g in its own labels: images of 0..n-1 from tied leaves
     tied: list[list[int]] = []
-    swaps: set[tuple[int, int]] = set()
     # bumped on every best improvement; lets an ancestor notice that the
     # current prefix now matches best exactly
     version = 0
@@ -440,7 +440,6 @@ def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
         for col, v in ranked:
             if twin[v] & tried:
                 # v's subtree is a tried twin's under their swap
-                swaps.add((v, (twin[v] & tried).bit_length() - 1))
                 continue
             tried |= 1 << v
             if best is not None and tight:
@@ -467,8 +466,13 @@ def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
             rows[slot] |= 1 << index[u]
     canon = tuple(rows)
     gens = {tuple(index[image[v]] for v in best_perm) for image in tied}
-    for u, v in swaps:
-        p = list(range(n))
-        p[index[u]], p[index[v]] = index[v], index[u]
-        gens.add(tuple(p))
+    # each twin class's symmetric group, from the swaps of consecutive
+    # members: u with the least twin above it
+    for u in range(n):
+        above = twin[u] >> u + 1 << u + 1
+        if above:
+            v = (above & -above).bit_length() - 1
+            p = list(range(n))
+            p[index[u]], p[index[v]] = index[v], index[u]
+            gens.add(tuple(p))
     return _graph(n, canon, _g6_bytes(n, canon)), tuple(sorted(gens))

@@ -64,6 +64,22 @@ def test_solve_parse_failure_exit_code(capsys):
     assert "graph6" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "recognize"])
+def test_bad_record_is_reported_and_the_rest_still_run(capsys, command):
+    code, out, err = _run(capsys, command, "A_", "!!!", "A_")
+    assert code == 2
+    assert out.count("A_:") == 2
+    assert err.count("\n") == 1 and "'!!!'" in err
+
+
+def test_bad_record_outranks_not_locatable(capsys):
+    c4 = to_graph6(from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    code, out, err = _run(capsys, "solve", c4, "!!!", "A_")
+    assert code == 2
+    assert "gamma_OL=2" in out
+    assert "open twins" in err and "'!!!'" in err
+
+
 def test_solve_reads_files(tmp_path, capsys):
     records = [to_graph6(half_graph(k)) for k in (1, 2)]
     path = tmp_path / "batch.g6"

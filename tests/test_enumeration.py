@@ -14,7 +14,7 @@ from oldset import (
     iter_bits,
     to_graph6,
 )
-from oldset.enumeration import _all_classes, _orbit_representatives
+from oldset.enumeration import _orbit_representatives
 from oldset.graphs import _canonical_labeling
 
 # connected classes per order; 1..6 re-derived by the Burnside oracle
@@ -171,11 +171,34 @@ def _is_automorphism(g: Graph, perm) -> bool:
     return all(_image(g.adj[v], perm) == g.adj[perm[v]] for v in range(g.n))
 
 
+def _all_small_classes(n: int) -> list[Graph]:
+    """One graph per isomorphism class of order n, connected or not.
+
+    A graph or its complement is connected, so the connected classes and
+    their complements cover every class.
+    """
+    if n == 0:
+        return [Graph(0, ())]
+    full = (1 << n) - 1
+    by_cert: dict[bytes, Graph] = {}
+    for g in enumerate_connected_graphs(n):
+        complement = Graph(n, [full ^ row ^ 1 << v for v, row in enumerate(g.adj)])
+        for h in (g, complement):
+            by_cert.setdefault(canonical_form(h), h)
+    return [by_cert[cert] for cert in sorted(by_cert)]
+
+
+def test_all_small_classes_match_reference_table():
+    # graphs of order 0..7, connected or not
+    counts = [1, 1, 2, 4, 11, 34, 156, 1044]
+    assert [len(_all_small_classes(n)) for n in range(8)] == counts
+
+
 def _scrambled_small_graphs():
     # every class of order <= 6, each also under a random relabeling
     rng = random.Random(98)
     for n in range(7):
-        for g in _all_classes(n):
+        for g in _all_small_classes(n):
             perm = list(range(n))
             rng.shuffle(perm)
             yield g
@@ -184,7 +207,7 @@ def _scrambled_small_graphs():
 
 def test_labeling_generators_are_automorphisms():
     graphs = list(_scrambled_small_graphs())
-    graphs += list(_all_classes(7))
+    graphs += _all_small_classes(7)
     for g in graphs:
         canon, gens = _canonical_labeling(g)
         for perm in gens:
@@ -203,3 +226,12 @@ def test_mask_orbits_match_brute_force_automorphisms():
         assert {frozenset(_image(m, p) for p in group) for m in reps} == orbits
         # the first mask of each orbit stands for it
         assert reps == sorted(min(orbit) for orbit in orbits)
+
+
+def test_twin_classes_give_one_generator_per_consecutive_pair():
+    # K_n and its complement: one twin class, whose n - 1 consecutive
+    # swaps generate the symmetric group
+    for n in range(2, 11):
+        complete = from_edges(n, combinations(range(n), 2))
+        for g in (complete, Graph(n, [0] * n)):
+            assert len(_canonical_labeling(g)[1]) == n - 1
