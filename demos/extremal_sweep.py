@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from oldset import enumerate_connected_graphs, verify_theorem
+from oldset import enumerate_connected_graphs, run_harness
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
     clean = True
     for n in range(2, args.max_n + 1):
         start = time.perf_counter()
-        report = verify_theorem(enumerate_connected_graphs(n), n, jobs=args.jobs)
+        report = run_harness(enumerate_connected_graphs(n), n, jobs=args.jobs)
         took = time.perf_counter() - start
         hits = " ".join(report.extremal) if report.extremal else "-"
         print(

@@ -11,11 +11,8 @@ from .domination import (
     NotLocatableError,
     SolveResult,
     is_old_set,
-    is_total_dominating,
-    locates,
     old_number,
     old_number_bruteforce,
-    old_number_disconnected,
 )
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
 from .forced import (
@@ -52,17 +49,7 @@ from .halfgraphs import (
     is_union_of_half_graphs,
     peel,
 )
-from .harness import (
-    ALL_CHECKS,
-    CHECK_BONDY,
-    CHECK_PROP2,
-    CHECK_THEOREM,
-    HarnessReport,
-    run_harness,
-    verify_bondy,
-    verify_proposition2,
-    verify_theorem,
-)
+from .harness import HarnessReport, run_harness
 
 __version__ = "0.1.0"
 
@@ -72,11 +59,8 @@ __all__ = [
     "NotLocatableError",
     "SolveResult",
     "is_old_set",
-    "is_total_dominating",
-    "locates",
     "old_number",
     "old_number_bruteforce",
-    "old_number_disconnected",
     "MAX_BUILTIN_ORDER",
     "enumerate_connected_graphs",
     "ForcedClassification",
@@ -109,14 +93,7 @@ __all__ = [
     "is_half_graph",
     "is_union_of_half_graphs",
     "peel",
-    "ALL_CHECKS",
-    "CHECK_BONDY",
-    "CHECK_PROP2",
-    "CHECK_THEOREM",
     "HarnessReport",
     "run_harness",
-    "verify_bondy",
-    "verify_proposition2",
-    "verify_theorem",
     "__version__",
 ]

@@ -26,18 +26,13 @@ import os
 import sys
 from typing import Iterable
 
-from .domination import (
-    BRUTEFORCE,
-    NotLocatableError,
-    old_number,
-    old_number_bruteforce,
-)
+from .domination import NotLocatableError
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
 from .forced import classify_forced
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
 from .graphs import Graph, connected_components, is_connected, vertices_of
 from .halfgraphs import half_graph, is_half_graph, is_union_of_half_graphs
-from .harness import run_harness
+from .harness import _SOLVERS, run_harness
 
 __all__ = ["main", "run"]
 
@@ -111,7 +106,7 @@ def _records(args_graphs: list[str]) -> list[str]:
 
 
 def _cmd_solve(args) -> int:
-    solver = old_number_bruteforce if args.solver == BRUTEFORCE else old_number
+    solver = _SOLVERS[args.solver]
     bad_record = unlocatable = False
     for record in _records(args.graphs):
         try:
@@ -263,6 +258,15 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATION
 
 
+def _add_solver(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--solver",
+        choices=sorted(_SOLVERS),
+        default="bnb",
+        help="exact algorithm (default bnb)",
+    )
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oldset", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -271,12 +275,7 @@ def _build_parser() -> _Parser:
         "solve", help="exact gamma_OL, witness, and forced partition"
     )
     solve.add_argument("graphs", nargs="*", help="graph6 records, or files of them")
-    solve.add_argument(
-        "--solver",
-        choices=(BRUTEFORCE, "bnb"),
-        default="bnb",
-        help="exact algorithm (default bnb)",
-    )
+    _add_solver(solve)
     solve.add_argument(
         "--format", choices=("text", "structured"), default="text"
     )
@@ -306,12 +305,7 @@ def _build_parser() -> _Parser:
     verify.add_argument(
         "--stream", help="file of graph6 records to sweep instead ('-' for stdin)"
     )
-    verify.add_argument(
-        "--solver",
-        choices=(BRUTEFORCE, "bnb"),
-        default="bnb",
-        help="exact algorithm (default bnb)",
-    )
+    _add_solver(verify)
     verify.add_argument(
         "--format", choices=("text", "structured"), default="text"
     )

@@ -28,22 +28,17 @@ from .graphs import (
     Graph,
     NotLocatableError,
     VertexSet,
-    connected_components,
     is_locatable,
     is_old_set,
     iter_bits,
-    vertices_of,
 )
 
 __all__ = [
     "NotLocatableError",
     "SolveResult",
-    "is_total_dominating",
-    "locates",
     "is_old_set",
     "old_number_bruteforce",
     "old_number",
-    "old_number_disconnected",
     "BRUTEFORCE",
     "BRANCH_AND_BOUND",
 ]
@@ -65,19 +60,6 @@ class SolveResult:
     witness: VertexSet
     nodes_explored: int
     method: str
-
-
-def is_total_dominating(g: Graph, s: VertexSet) -> bool:
-    """True iff every vertex of g has a neighbour in s."""
-    return all(g.adj[v] & s for v in range(g.n))
-
-
-def locates(g: Graph, s: VertexSet, v: int) -> bool:
-    """True iff no other vertex has the same trace on s as v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} is not in 0..{g.n - 1}")
-    trace = g.adj[v] & s
-    return all(g.adj[w] & s != trace for w in range(g.n) if w != v)
 
 
 def _require_locatable(g: Graph) -> None:
@@ -173,24 +155,3 @@ def old_number(g: Graph) -> SolveResult:
     descend(forced, 0)
     return SolveResult(best_size, best, nodes, BRANCH_AND_BOUND)
 
-
-def old_number_disconnected(g: Graph) -> SolveResult:
-    """gamma_OL of a possibly disconnected graph, component by component.
-
-    Traces never cross a component boundary, so gamma_OL adds up and the
-    union of per-component least witnesses is the least witness overall.
-    """
-    _require_locatable(g)
-    parts = connected_components(g)
-    if len(parts) <= 1:
-        return old_number(g)
-    gamma = 0
-    witness = 0
-    nodes = 0
-    for sub, kept in parts:
-        result = old_number(sub)
-        gamma += result.gamma
-        nodes += result.nodes_explored
-        for v in vertices_of(result.witness):
-            witness |= 1 << kept[v]
-    return SolveResult(gamma, witness, nodes, BRANCH_AND_BOUND)

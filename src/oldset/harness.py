@@ -1,12 +1,13 @@
 """Exhaustive verification of the extremal characterisation.
 
 The headline claim: a connected locatable graph has gamma_OL equal to
-its order exactly when it is a half-graph.  The harness sweeps a stream
-of graphs, solves each one exactly, recognises half-graphs
-structurally, and records every disagreement.  Two side checks ride
-along: the location-forced count never reaches n (Bondy), and dropping
-any unforced vertex still leaves an OLD set (the removability
-guarantee).
+its order exactly when it is a half-graph.  The harness makes one sweep
+over a stream of graphs, and every locatable graph gets the same three
+checks.  It is solved exactly and recognised structurally, and any
+disagreement with the theorem is recorded.  One forced-vertex analysis
+of the graph then serves two side checks: the location-forced count
+never reaches n (Bondy), and dropping any unforced vertex still leaves
+an OLD set (the removability guarantee).
 
 Reports are deterministic: per-graph findings are keyed and sorted by
 canonical certificate, so any relabeling or reordering of the input
@@ -22,10 +23,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .domination import old_number, old_number_bruteforce
-from .forced import bondy_check, classify_forced
+from .domination import SolveResult, old_number, old_number_bruteforce
+from .forced import classify_forced
 from .graph6 import to_graph6
 from .graphs import (
     CANONICAL_ORDER_LIMIT,
@@ -37,22 +38,7 @@ from .graphs import (
 )
 from .halfgraphs import is_union_of_half_graphs
 
-__all__ = [
-    "HarnessReport",
-    "CHECK_THEOREM",
-    "CHECK_BONDY",
-    "CHECK_PROP2",
-    "ALL_CHECKS",
-    "run_harness",
-    "verify_theorem",
-    "verify_bondy",
-    "verify_proposition2",
-]
-
-CHECK_THEOREM = "theorem"
-CHECK_BONDY = "bondy"
-CHECK_PROP2 = "prop2"
-ALL_CHECKS = frozenset((CHECK_THEOREM, CHECK_BONDY, CHECK_PROP2))
+__all__ = ["HarnessReport", "run_harness"]
 
 _SOLVERS = {"bnb": old_number, "bruteforce": old_number_bruteforce}
 
@@ -88,8 +74,8 @@ class HarnessReport:
             + len(self.prop2_violations)
         )
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "n": self.n,
             "graphs_scanned": self.graphs_scanned,
             "locatable_count": self.locatable_count,
@@ -100,9 +86,6 @@ class HarnessReport:
             "prop2_violations": [list(row) for row in self.prop2_violations],
             "record_errors": list(self.record_errors),
         }
-        if include_timing:
-            out["timing"] = self.timing
-        return out
 
     def to_json(self) -> str:
         # timing omitted so identical sweeps render identical bytes
@@ -139,67 +122,72 @@ class HarnessReport:
         return "\n".join(lines)
 
 
-def _examine(g: Graph, n: int, checks: frozenset[str], solver: str) -> dict:
+class _Row(NamedTuple):
+    """What one graph contributes to the report, the same for every graph."""
+
+    cert: str
+    order: int
+    locatable: bool
+    gamma: int
+    half_graph: bool
+    bondy_count: int
+    prop2_bad: tuple[int, ...]
+
+
+def _examine(g: Graph, solve: Callable[[Graph], SolveResult]) -> _Row:
     # beyond the canonicalization limit fall back to the raw encoding;
     # such streams must already be isomorph-free for determinism
     if g.n <= CANONICAL_ORDER_LIMIT:
         cert = canonical_form(g).decode("ascii")
     else:
         cert = to_graph6(g)
-    row: dict = {"cert": cert, "order_mismatch": g.n != n, "locatable": False}
     if not is_locatable(g):
-        return row
-    row["locatable"] = True
-    if CHECK_THEOREM in checks:
-        gamma = _SOLVERS[solver](g).gamma
+        return _Row(cert, g.n, False, 0, False, 0, ())
+    parts = classify_forced(g)
+    full = (1 << g.n) - 1
+    return _Row(
+        cert,
+        g.n,
+        True,
+        solve(g).gamma,
         # on the connected streams the harness is specified for this is
         # exactly the half-graph test; it extends to disconnected input
         # through the additivity of gamma_OL over components
-        looks = is_union_of_half_graphs(g)
-        row["gamma"] = gamma
-        row["half_graph"] = looks
-        row["extremal"] = gamma == g.n
-        row["counterexample"] = (gamma == g.n) != looks
-    if CHECK_BONDY in checks:
-        count = bondy_check(g)
-        row["bondy_count"] = count
-        row["bondy_bad"] = count > max(g.n - 1, 0)
-    if CHECK_PROP2 in checks:
-        full = (1 << g.n) - 1
-        bad = [
+        is_union_of_half_graphs(g),
+        # the location-forced count, as bondy_check computes it
+        parts.location_forced.bit_count(),
+        tuple(
             v
-            for v in iter_bits(classify_forced(g).unforced)
+            for v in iter_bits(parts.unforced)
             if not is_old_set(g, full & ~(1 << v))
-        ]
-        row["prop2_bad"] = bad
-    return row
+        ),
+    )
 
 
 def run_harness(
     graphs: Iterable[Graph],
     n: int,
-    checks: frozenset[str] = ALL_CHECKS,
     solver: str = "bnb",
     jobs: int = 1,
     record_errors: Sequence[str] = (),
 ) -> HarnessReport:
     """Sweep graphs and aggregate one deterministic report.
 
-    checks selects any subset of {theorem, bondy, prop2}; solver picks
-    the exact solver by name; jobs > 1 fans the per-graph work out to a
-    process pool of at most min(jobs, CPU count, chunks of work)
-    workers, which cannot change the report.
+    Every locatable graph gets all three checks: the theorem (its exact
+    gamma_OL, computed by the solver named in solver, against half-graph
+    recognition), the Bondy bound and the removability of each unforced
+    vertex.  The forced partition behind the last two is computed once
+    per graph.  jobs > 1 fans the per-graph work out to a process pool
+    of at most min(jobs, CPU count, chunks of work) workers, which
+    cannot change the report.
     """
-    unknown = checks - ALL_CHECKS
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     started = time.perf_counter()
     batch = list(graphs)
-    work = partial(_examine, n=n, checks=checks, solver=solver)
+    work = partial(_examine, solve=_SOLVERS[solver])
     # the pool forks every worker on its first task, so never ask for
     # more than there are cores, or chunks to hand out
     workers = min(jobs, os.cpu_count() or 1)
@@ -212,45 +200,24 @@ def run_harness(
             rows = list(pool.map(work, batch, chunksize=chunk))
 
     report = HarnessReport(n=n, record_errors=list(record_errors))
-    rows.sort(key=lambda row: row["cert"])
+    rows.sort(key=lambda row: row.cert)
     for row in rows:
         report.graphs_scanned += 1
-        cert = row["cert"]
-        if row["order_mismatch"]:
-            report.record_errors.append(f"{cert}: order differs from sweep order {n}")
-        if not row["locatable"]:
+        if row.order != n:
+            report.record_errors.append(
+                f"{row.cert}: order differs from sweep order {n}"
+            )
+        if not row.locatable:
             continue
         report.locatable_count += 1
-        if "gamma" in row:
-            if row["extremal"]:
-                report.extremal.append(cert)
-            if row["counterexample"]:
-                report.counterexamples.append(
-                    (cert, row["gamma"], row["half_graph"])
-                )
-        if row.get("bondy_bad"):
-            report.bondy_violations.append((cert, row["bondy_count"]))
-        for v in row.get("prop2_bad", ()):
-            report.prop2_violations.append((cert, v))
+        extremal = row.gamma == row.order
+        if extremal:
+            report.extremal.append(row.cert)
+        if extremal != row.half_graph:
+            report.counterexamples.append((row.cert, row.gamma, row.half_graph))
+        if row.bondy_count > max(row.order - 1, 0):
+            report.bondy_violations.append((row.cert, row.bondy_count))
+        report.prop2_violations.extend((row.cert, v) for v in row.prop2_bad)
     report.theorem_holds = not report.counterexamples
     report.timing = time.perf_counter() - started
     return report
-
-
-def verify_theorem(
-    graphs: Iterable[Graph], n: int, solver: str = "bnb", jobs: int = 1
-) -> HarnessReport:
-    """Check gamma_OL = n iff half-graph over the stream."""
-    return run_harness(
-        graphs, n, checks=frozenset((CHECK_THEOREM,)), solver=solver, jobs=jobs
-    )
-
-
-def verify_bondy(graphs: Iterable[Graph], n: int, jobs: int = 1) -> HarnessReport:
-    """Check the location-forced count stays below the order."""
-    return run_harness(graphs, n, checks=frozenset((CHECK_BONDY,)), jobs=jobs)
-
-
-def verify_proposition2(graphs: Iterable[Graph], n: int, jobs: int = 1) -> HarnessReport:
-    """Check V minus any single unforced vertex is still an OLD set."""
-    return run_harness(graphs, n, checks=frozenset((CHECK_PROP2,)), jobs=jobs)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 import time
+from functools import lru_cache
+from pathlib import Path
 
 from oldset import (
     Graph,
@@ -24,14 +26,19 @@ from oldset import (
     mask_of,
     old_number,
     old_number_bruteforce,
-    old_number_disconnected,
     parse_graph6,
     peel,
+    run_harness,
     to_graph6,
-    verify_bondy,
-    verify_proposition2,
-    verify_theorem,
 )
+
+_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected"
+
+
+@lru_cache(maxsize=None)
+def _census(n):
+    """The harness report over every connected graph of order n."""
+    return run_harness(enumerate_connected_graphs(n), n, jobs=2)
 
 
 def _random_locatable(rng, n):
@@ -65,7 +72,7 @@ def test_02_half_graph_forced_partition_is_exact():
 def test_03_extremal_census_matches_half_graphs_through_order_8():
     start = time.perf_counter()
     for n in range(2, 9):
-        report = verify_theorem(enumerate_connected_graphs(n), n, jobs=2)
+        report = _census(n)
         assert report.theorem_holds
         assert report.counterexamples == []
         assert report.record_errors == []
@@ -76,6 +83,10 @@ def test_03_extremal_census_matches_half_graphs_through_order_8():
             assert report.extremal == [expect]
         else:
             assert report.extremal == []
+    # the whole report, side checks included, is the stored census
+    for n in (7, 8):
+        expected = (_EXPECTED / f"census_n{n}.json").read_text(encoding="ascii")
+        assert _census(n).to_json() == expected.rstrip("\n")
     assert time.perf_counter() - start < 300.0
 
 
@@ -94,14 +105,14 @@ def test_04_base_cases_k2_k3_and_the_order_1_rejection():
 
 def test_05_location_forced_count_stays_below_order_through_7():
     for n in range(2, 8):
-        report = verify_bondy(enumerate_connected_graphs(n), n)
+        report = _census(n)
         assert report.locatable_count > 0
         assert report.bondy_violations == []
 
 
 def test_06_dropping_any_unforced_vertex_keeps_an_old_set_through_7():
     for n in range(2, 8):
-        report = verify_proposition2(enumerate_connected_graphs(n), n)
+        report = _census(n)
         assert report.locatable_count > 0
         assert report.prop2_violations == []
 
@@ -139,9 +150,11 @@ def test_09_gamma_adds_over_disjoint_unions():
         a = _random_locatable(rng, rng.randrange(2, 6))
         b = _random_locatable(rng, rng.randrange(2, 6))
         u = disjoint_union(a, b)
-        whole = old_number(u).gamma  # solved monolithically, no decomposition
-        assert whole == old_number(a).gamma + old_number(b).gamma
-        assert old_number_disconnected(u).gamma == whole
+        whole = old_number(u)  # solved monolithically, no decomposition
+        left, right = old_number(a), old_number(b)
+        assert whole.gamma == left.gamma + right.gamma
+        # and the least witness is the least witness of each side
+        assert whole.witness == left.witness | right.witness << a.n
 
 
 def test_10_codec_round_trips_the_whole_corpus_byte_exact():

@@ -17,12 +17,9 @@ from oldset import (
     half_graph,
     is_locatable,
     is_old_set,
-    is_total_dominating,
-    locates,
     mask_of,
     old_number,
     old_number_bruteforce,
-    old_number_disconnected,
     parse_graph6,
 )
 
@@ -63,16 +60,6 @@ def _not_locatable(fn, g) -> None:
     raise AssertionError("expected NotLocatableError")
 
 
-def test_is_total_dominating():
-    # H_2 with S = {v_1, w_2}: each of the four vertices has a neighbour in S
-    h2 = half_graph(2)
-    assert is_total_dominating(h2, mask_of([0, 3]))
-    iso = from_edges(3, [(0, 1)])
-    assert not is_total_dominating(iso, 0b111)
-    # the chosen vertex of K_3 has no neighbour inside S = {itself}
-    assert not is_total_dominating(_k(3), 0b001)
-
-
 def test_is_old_set_whole_vertex_set_of_half_graphs():
     for k in range(1, 7):
         g = half_graph(k)
@@ -100,23 +87,6 @@ def test_is_old_set_monotone_under_superset():
             continue
         extra = rng.randint(0, full)
         assert is_old_set(g, s | extra)
-
-
-def test_locates():
-    h2 = half_graph(2)
-    full = 0b1111
-    for v in range(4):
-        assert locates(h2, full, v)
-    c4 = _cycle(4)
-    assert not locates(c4, 0b1111, 0)  # twin with vertex 2
-    k2 = from_edges(2, [(0, 1)])
-    assert locates(k2, 0b01, 0)  # empty trace vs {0}
-    try:
-        locates(k2, 0b01, 2)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("out-of-range vertex accepted")
 
 
 def test_bruteforce_known_values():
@@ -193,7 +163,6 @@ def test_solvers_reject_non_locatable():
     for g in (_cycle(4), from_edges(1, []), from_edges(3, [])):
         _not_locatable(old_number, g)
         _not_locatable(old_number_bruteforce, g)
-        _not_locatable(old_number_disconnected, g)
 
 
 def test_not_locatable_error_carries_obstructions():
@@ -210,27 +179,25 @@ def test_not_locatable_error_carries_obstructions():
 
 def test_disconnected_additivity_fixed_cases():
     # gamma values per component are Prop.-3 / base-case values
-    assert old_number_disconnected(disjoint_union(half_graph(1), half_graph(2))).gamma == 6
-    assert old_number_disconnected(disjoint_union(half_graph(1), _k(3))).gamma == 4
-    assert old_number_disconnected(disjoint_union(half_graph(1), half_graph(1))).gamma == 4
-
-
-def test_disconnected_matches_plain_solver_on_connected_input():
-    g = _path(5)
-    assert old_number_disconnected(g) == old_number(g)
+    assert old_number(disjoint_union(half_graph(1), half_graph(2))).gamma == 6
+    assert old_number(disjoint_union(half_graph(1), _k(3))).gamma == 4
+    assert old_number(disjoint_union(half_graph(1), half_graph(1))).gamma == 4
 
 
 def test_disconnected_witness_maps_back():
-    g = disjoint_union(_path(4), _k(3))
-    res = old_number_disconnected(g)
+    # the least witness of a union is the union of the least witnesses
+    a, b = _path(4), _k(3)
+    g = disjoint_union(a, b)
+    res = old_number(g)
     assert is_old_set(g, res.witness)
     assert res.witness.bit_count() == res.gamma
-    assert res.gamma == old_number(_path(4)).gamma + old_number(_k(3)).gamma
+    assert res.gamma == old_number(a).gamma + old_number(b).gamma
+    assert res.witness == old_number(a).witness | old_number(b).witness << a.n
 
 
 def test_order_zero_graph_solves_to_zero():
     empty = Graph(0, ())
     assert is_locatable(empty)
-    for solver in (old_number, old_number_bruteforce, old_number_disconnected):
+    for solver in (old_number, old_number_bruteforce):
         res = solver(empty)
         assert res.gamma == 0 and res.witness == 0

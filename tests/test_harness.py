@@ -9,17 +9,16 @@ import random
 import oldset.harness
 from oldset import (
     HarnessReport,
+    SolveResult,
     canonical_form,
     classify_forced,
     disjoint_union,
     enumerate_connected_graphs,
     from_edges,
     half_graph,
+    is_locatable,
     parse_graph6,
     run_harness,
-    verify_bondy,
-    verify_proposition2,
-    verify_theorem,
 )
 
 
@@ -31,16 +30,17 @@ def _relabel(g, perm):
     return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def test_verify_theorem_order_4():
-    report = verify_theorem(enumerate_connected_graphs(4), 4)
+def test_harness_order_4():
+    report = run_harness(enumerate_connected_graphs(4), 4)
     assert report.theorem_holds
     assert report.counterexamples == []
+    assert report.violations == 0
     assert len(report.extremal) == 1
     assert report.extremal[0].encode("ascii") == canonical_form(half_graph(2))
 
 
-def test_verify_theorem_order_5_no_extremal():
-    report = verify_theorem(enumerate_connected_graphs(5), 5)
+def test_harness_order_5_no_extremal():
+    report = run_harness(enumerate_connected_graphs(5), 5)
     assert report.theorem_holds
     assert report.extremal == []
     assert report.graphs_scanned == 21
@@ -49,24 +49,49 @@ def test_verify_theorem_order_5_no_extremal():
 
 def test_extremal_graphs_have_no_unforced_vertices():
     for n in (2, 4, 6):
-        report = verify_theorem(enumerate_connected_graphs(n), n)
+        report = run_harness(enumerate_connected_graphs(n), n)
         for cert in report.extremal:
             assert classify_forced(parse_graph6(cert)).unforced == 0
 
 
-def test_verify_bondy_clean_on_half_graph_stream():
-    report = verify_bondy([half_graph(k) for k in range(1, 7)], 0)
+def test_bondy_clean_on_half_graph_stream():
+    report = run_harness([half_graph(k) for k in range(1, 7)], 0)
     assert report.bondy_violations == []
-    report = verify_bondy([half_graph(1)], 2)
+    report = run_harness([half_graph(1)], 2)
     assert report.bondy_violations == []
     assert report.locatable_count == 1
 
 
-def test_verify_proposition2_examples():
-    report = verify_proposition2([_k(3)], 3)
+def test_removability_examples():
+    report = run_harness([_k(3)], 3)
     assert report.prop2_violations == []
-    report = verify_proposition2([half_graph(3)], 6)  # vacuous: all forced
+    report = run_harness([half_graph(3)], 6)  # vacuous: all forced
     assert report.prop2_violations == []
+
+
+def _every_graph_extremal(g):
+    return SolveResult(g.n, (1 << g.n) - 1, 0, "stub")
+
+
+def test_a_wrong_solver_shows_as_counterexamples(monkeypatch, capsys):
+    from oldset.cli import main
+
+    monkeypatch.setitem(oldset.harness._SOLVERS, "bnb", _every_graph_extremal)
+    report = run_harness(enumerate_connected_graphs(4), 4)
+    h2 = canonical_form(half_graph(2)).decode("ascii")
+    locatable = [
+        canonical_form(g).decode("ascii")
+        for g in enumerate_connected_graphs(4)
+        if is_locatable(g)
+    ]
+    assert len(locatable) == report.locatable_count > 1
+    assert report.counterexamples == [
+        (cert, 4, False) for cert in sorted(locatable) if cert != h2
+    ]
+    assert report.extremal == sorted(locatable)
+    assert not report.theorem_holds
+    assert main(["verify", "--n", "4"]) == 4
+    assert "theorem holds: NO" in capsys.readouterr().out
 
 
 def test_report_deterministic_under_relabeling_and_shuffling():
@@ -153,11 +178,11 @@ def test_structured_dump_is_stable_and_timing_free():
     assert payload["theorem_holds"] is True
     report = run_harness(graphs, 4)
     assert report.timing > 0
-    assert "timing" in report.as_dict(include_timing=True)
+    assert f"elapsed: {report.timing:.2f}s" in report.to_text()
 
 
 def test_text_report_mentions_the_extremal_class():
-    report = verify_theorem(enumerate_connected_graphs(4), 4)
+    report = run_harness(enumerate_connected_graphs(4), 4)
     text = report.to_text()
     assert "theorem holds: yes" in text
     assert report.extremal[0] in text
@@ -206,7 +231,6 @@ def test_rendering_of_a_synthetic_failure():
 
 def test_run_harness_validates_arguments():
     for kwargs in (
-        {"checks": frozenset({"nope"})},
         {"solver": "magic"},
         {"jobs": 0},
     ):
