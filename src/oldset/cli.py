@@ -26,13 +26,13 @@ import os
 import sys
 from typing import Iterable
 
-from .domination import NotLocatableError
+from .domination import NotLocatableError, old_number, old_number_bruteforce
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
 from .forced import classify_forced
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
 from .graphs import Graph, connected_components, is_connected, vertices_of
 from .halfgraphs import half_graph, is_half_graph, is_union_of_half_graphs
-from .harness import _SOLVERS, run_harness
+from .harness import run_harness
 
 __all__ = ["main", "run"]
 
@@ -41,6 +41,8 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_NOT_LOCATABLE = 3
 EXIT_VIOLATION = 4
+
+_SOLVERS = {"bnb": old_number, "bruteforce": old_number_bruteforce}
 
 
 class _UsageError(Exception):
@@ -242,13 +244,7 @@ def _cmd_verify(args) -> int:
             print("stream contains no parsable records", file=sys.stderr)
             return EXIT_PARSE
 
-    report = run_harness(
-        graphs,
-        n,
-        solver=args.solver,
-        jobs=args.jobs,
-        record_errors=record_errors,
-    )
+    report = run_harness(graphs, n, jobs=args.jobs, record_errors=record_errors)
     if args.format == "structured":
         print(report.to_json())
     else:
@@ -256,15 +252,6 @@ def _cmd_verify(args) -> int:
     if report.theorem_holds and report.violations == 0:
         return EXIT_OK
     return EXIT_VIOLATION
-
-
-def _add_solver(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--solver",
-        choices=sorted(_SOLVERS),
-        default="bnb",
-        help="exact algorithm (default bnb)",
-    )
 
 
 def _build_parser() -> _Parser:
@@ -275,7 +262,12 @@ def _build_parser() -> _Parser:
         "solve", help="exact gamma_OL, witness, and forced partition"
     )
     solve.add_argument("graphs", nargs="*", help="graph6 records, or files of them")
-    _add_solver(solve)
+    solve.add_argument(
+        "--solver",
+        choices=sorted(_SOLVERS),
+        default="bnb",
+        help="exact algorithm (default bnb)",
+    )
     solve.add_argument(
         "--format", choices=("text", "structured"), default="text"
     )
@@ -305,7 +297,6 @@ def _build_parser() -> _Parser:
     verify.add_argument(
         "--stream", help="file of graph6 records to sweep instead ('-' for stdin)"
     )
-    _add_solver(verify)
     verify.add_argument(
         "--format", choices=("text", "structured"), default="text"
     )

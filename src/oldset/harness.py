@@ -3,11 +3,18 @@
 The headline claim: a connected locatable graph has gamma_OL equal to
 its order exactly when it is a half-graph.  The harness makes one sweep
 over a stream of graphs, and every locatable graph gets the same three
-checks.  It is solved exactly and recognised structurally, and any
-disagreement with the theorem is recorded.  One forced-vertex analysis
-of the graph then serves two side checks: the location-forced count
-never reaches n (Bondy), and dropping any unforced vertex still leaves
-an OLD set (the removability guarantee).
+checks from one forced-vertex analysis: the theorem, the Bondy bound
+(the location-forced count never reaches n) and the removability of
+each unforced vertex (V - v is still an OLD set).
+
+Extremality is settled by the removal witnesses, not by a search.
+Supersets of OLD sets are OLD sets and a forced vertex can never be
+dropped, so gamma_OL = n exactly when no unforced v leaves V - v an
+OLD set, which the removability check tests anyway.  The exact solver
+runs only on graphs that either side of the theorem calls extremal (no
+removal witness, or a union of half-graphs), and such a graph is a
+counterexample unless the certificate, gamma = n and the half-graph
+test all agree: a wrong solver or forced-vertex analysis still fails.
 
 Reports are deterministic: per-graph findings are keyed and sorted by
 canonical certificate, so any relabeling or reordering of the input
@@ -22,10 +29,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .domination import SolveResult, old_number, old_number_bruteforce
+from .domination import old_number
 from .forced import classify_forced
 from .graph6 import to_graph6
 from .graphs import (
@@ -40,16 +46,15 @@ from .halfgraphs import is_union_of_half_graphs
 
 __all__ = ["HarnessReport", "run_harness"]
 
-_SOLVERS = {"bnb": old_number, "bruteforce": old_number_bruteforce}
-
 
 @dataclass
 class HarnessReport:
     """Everything one sweep established.
 
     extremal lists the canonical graph6 of each locatable graph with
-    gamma_OL = n; counterexamples pair a canonical graph6 with (gamma,
-    half-graph verdict) whenever the two sides of the theorem disagree.
+    gamma_OL = n, that is, with no removable vertex; counterexamples
+    pair a canonical graph6 with (gamma, half-graph verdict) whenever
+    the certificate, the exact gamma and the half-graph test disagree.
     bondy_violations and prop2_violations are analogous, and empty on
     every input if the mathematics is right.  record_errors carries
     per-record parse or order problems without aborting the sweep.
@@ -128,13 +133,14 @@ class _Row(NamedTuple):
     cert: str
     order: int
     locatable: bool
-    gamma: int
+    extremal: bool
+    gamma: int | None  # solved only when extremal or half_graph
     half_graph: bool
     bondy_count: int
     prop2_bad: tuple[int, ...]
 
 
-def _examine(g: Graph, solve: Callable[[Graph], SolveResult]) -> _Row:
+def _examine(g: Graph) -> _Row:
     # beyond the canonicalization limit fall back to the raw encoding;
     # such streams must already be isomorph-free for determinism
     if g.n <= CANONICAL_ORDER_LIMIT:
@@ -142,62 +148,61 @@ def _examine(g: Graph, solve: Callable[[Graph], SolveResult]) -> _Row:
     else:
         cert = to_graph6(g)
     if not is_locatable(g):
-        return _Row(cert, g.n, False, 0, False, 0, ())
+        return _Row(cert, g.n, False, False, None, False, 0, ())
     parts = classify_forced(g)
     full = (1 << g.n) - 1
+    prop2_bad = tuple(
+        v for v in iter_bits(parts.unforced) if not is_old_set(g, full & ~(1 << v))
+    )
+    # every unforced vertex that passes is a removal witness
+    extremal = len(prop2_bad) == parts.unforced.bit_count()
+    # on the connected streams the harness is specified for this is
+    # exactly the half-graph test; it extends to disconnected input
+    # through the additivity of gamma_OL over components
+    half = is_union_of_half_graphs(g)
     return _Row(
         cert,
         g.n,
         True,
-        solve(g).gamma,
-        # on the connected streams the harness is specified for this is
-        # exactly the half-graph test; it extends to disconnected input
-        # through the additivity of gamma_OL over components
-        is_union_of_half_graphs(g),
+        extremal,
+        old_number(g).gamma if extremal or half else None,
+        half,
         # the location-forced count, as bondy_check computes it
         parts.location_forced.bit_count(),
-        tuple(
-            v
-            for v in iter_bits(parts.unforced)
-            if not is_old_set(g, full & ~(1 << v))
-        ),
+        prop2_bad,
     )
 
 
 def run_harness(
     graphs: Iterable[Graph],
     n: int,
-    solver: str = "bnb",
     jobs: int = 1,
     record_errors: Sequence[str] = (),
 ) -> HarnessReport:
     """Sweep graphs and aggregate one deterministic report.
 
-    Every locatable graph gets all three checks: the theorem (its exact
-    gamma_OL, computed by the solver named in solver, against half-graph
-    recognition), the Bondy bound and the removability of each unforced
-    vertex.  The forced partition behind the last two is computed once
-    per graph.  jobs > 1 fans the per-graph work out to a process pool
-    of at most min(jobs, CPU count, chunks of work) workers, which
-    cannot change the report.
+    Every locatable graph gets all three checks from one forced-vertex
+    analysis.  A graph is extremal exactly when no unforced v leaves
+    V - v an OLD set: supersets of OLD sets are OLD sets and a forced
+    vertex can never be dropped.  Only graphs that this certificate or
+    half-graph recognition calls extremal are solved exactly.  jobs > 1
+    fans the per-graph work out to a process pool of at most min(jobs,
+    CPU count, chunks of work) workers, which cannot change the report.
     """
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     started = time.perf_counter()
     batch = list(graphs)
-    work = partial(_examine, solve=_SOLVERS[solver])
     # the pool forks every worker on its first task, so never ask for
     # more than there are cores, or chunks to hand out
     workers = min(jobs, os.cpu_count() or 1)
     chunk = max(1, len(batch) // (workers * 8))
     workers = min(workers, -(-len(batch) // chunk))
     if workers <= 1:
-        rows = [work(g) for g in batch]
+        rows = [_examine(g) for g in batch]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, batch, chunksize=chunk))
+            rows = list(pool.map(_examine, batch, chunksize=chunk))
 
     report = HarnessReport(n=n, record_errors=list(record_errors))
     rows.sort(key=lambda row: row.cert)
@@ -210,10 +215,11 @@ def run_harness(
         if not row.locatable:
             continue
         report.locatable_count += 1
-        extremal = row.gamma == row.order
-        if extremal:
+        if row.extremal:
             report.extremal.append(row.cert)
-        if extremal != row.half_graph:
+        if row.gamma is not None and not (
+            row.extremal == (row.gamma == row.order) == row.half_graph
+        ):
             report.counterexamples.append((row.cert, row.gamma, row.half_graph))
         if row.bondy_count > max(row.order - 1, 0):
             report.bondy_violations.append((row.cert, row.bondy_count))

@@ -13,6 +13,7 @@ from oldset import (
     NotLocatableError,
     classify_forced,
     disjoint_union,
+    enumerate_connected_graphs,
     from_edges,
     half_graph,
     is_locatable,
@@ -87,6 +88,19 @@ def test_is_old_set_monotone_under_superset():
             continue
         extra = rng.randint(0, full)
         assert is_old_set(g, s | extra)
+
+
+def test_gamma_is_n_exactly_when_no_vertex_can_be_dropped():
+    # the lemma the harness decides extremality by
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            if not is_locatable(g):
+                continue
+            full = (1 << n) - 1
+            stuck = not any(is_old_set(g, full & ~(1 << v)) for v in range(n))
+            assert stuck == (old_number(g).gamma == n)
+            if n <= 6:
+                assert stuck == (old_number_bruteforce(g).gamma == n)
 
 
 def test_bruteforce_known_values():

@@ -6,8 +6,12 @@ import json
 import os
 import random
 
+import pytest
+
 import oldset.harness
 from oldset import (
+    ForcedClassification,
+    Graph,
     HarnessReport,
     SolveResult,
     canonical_form,
@@ -16,7 +20,9 @@ from oldset import (
     enumerate_connected_graphs,
     from_edges,
     half_graph,
+    is_connected,
     is_locatable,
+    old_number,
     parse_graph6,
     run_harness,
 )
@@ -69,29 +75,111 @@ def test_removability_examples():
     assert report.prop2_violations == []
 
 
-def _every_graph_extremal(g):
-    return SolveResult(g.n, (1 << g.n) - 1, 0, "stub")
+def _gamma_one_short(g):
+    return SolveResult(g.n - 1, (1 << g.n - 1) - 1, 0, "stub")
 
 
-def test_a_wrong_solver_shows_as_counterexamples(monkeypatch, capsys):
+def test_a_wrong_gamma_shows_as_a_counterexample(monkeypatch, capsys):
     from oldset.cli import main
 
-    monkeypatch.setitem(oldset.harness._SOLVERS, "bnb", _every_graph_extremal)
+    monkeypatch.setattr(oldset.harness, "old_number", _gamma_one_short)
     report = run_harness(enumerate_connected_graphs(4), 4)
     h2 = canonical_form(half_graph(2)).decode("ascii")
-    locatable = [
-        canonical_form(g).decode("ascii")
-        for g in enumerate_connected_graphs(4)
-        if is_locatable(g)
-    ]
-    assert len(locatable) == report.locatable_count > 1
-    assert report.counterexamples == [
-        (cert, 4, False) for cert in sorted(locatable) if cert != h2
-    ]
-    assert report.extremal == sorted(locatable)
+    assert report.locatable_count > 1
+    assert report.counterexamples == [(h2, 3, True)]
+    assert report.extremal == [h2]
     assert not report.theorem_holds
     assert main(["verify", "--n", "4"]) == 4
     assert "theorem holds: NO" in capsys.readouterr().out
+
+
+def test_a_wrong_half_graph_test_shows_as_counterexamples(monkeypatch):
+    monkeypatch.setattr(oldset.harness, "is_union_of_half_graphs", lambda g: True)
+    report = run_harness(enumerate_connected_graphs(4), 4)
+    h2 = canonical_form(half_graph(2)).decode("ascii")
+    locatable = sorted(
+        canonical_form(g).decode("ascii")
+        for g in enumerate_connected_graphs(4)
+        if is_locatable(g)
+    )
+    assert len(locatable) > 1
+    assert [cert for cert, _, _ in report.counterexamples] == [
+        cert for cert in locatable if cert != h2
+    ]
+    assert all(gamma < 4 and half for _, gamma, half in report.counterexamples)
+    assert report.extremal == [h2]
+    assert not report.theorem_holds
+
+
+def _nothing_forced(g):
+    return ForcedClassification(0, 0, (1 << g.n) - 1, {}, {})
+
+
+def _everything_forced(g):
+    full = (1 << g.n) - 1
+    return ForcedClassification(full, full, 0, {}, {})
+
+
+def test_a_wrong_certificate_fails_the_sweep(monkeypatch, capsys):
+    from oldset.cli import main
+
+    h2 = canonical_form(half_graph(2)).decode("ascii")
+    # a forced vertex called unforced is a removability violation
+    monkeypatch.setattr(oldset.harness, "classify_forced", _nothing_forced)
+    report = run_harness(enumerate_connected_graphs(4), 4)
+    assert (h2, 0) in report.prop2_violations
+    assert report.extremal == [h2]
+    assert report.theorem_holds
+    assert main(["verify", "--n", "4"]) == 4
+    assert "unforced removability: VIOLATED" in capsys.readouterr().out
+    # a removable vertex called forced hides the removal witness, so the
+    # graph is called extremal and its exact solve disagrees
+    monkeypatch.setattr(oldset.harness, "classify_forced", _everything_forced)
+    report = run_harness(enumerate_connected_graphs(4), 4)
+    assert report.counterexamples
+    assert all(gamma < 4 and not half for _, gamma, half in report.counterexamples)
+    assert not report.theorem_holds
+    assert main(["verify", "--n", "4"]) == 4
+
+
+def test_exact_solver_runs_only_on_graphs_called_extremal(monkeypatch):
+    solved = []
+
+    def counted(g):
+        solved.append(canonical_form(g).decode("ascii"))
+        return old_number(g)
+
+    monkeypatch.setattr(oldset.harness, "old_number", counted)
+    run_harness(enumerate_connected_graphs(5), 5)
+    assert solved == []
+    run_harness(enumerate_connected_graphs(6), 6)
+    assert solved == ["E@Ug"]
+
+
+def _toggles(h):
+    """Connected locatable graphs one edge toggle away from h."""
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            adj = list(h.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            g = Graph(h.n, tuple(adj))
+            if is_connected(g) and is_locatable(g):
+                yield g
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_single_edge_toggles_of_a_half_graph_are_not_extremal(k):
+    toggles = list(_toggles(half_graph(k)))
+    assert toggles
+    report = run_harness(toggles, 2 * k)
+    assert report.locatable_count == len(toggles)
+    assert report.theorem_holds
+    assert report.extremal == []
+    assert report.violations == 0
+    for g in toggles:
+        assert old_number(g).gamma < 2 * k
+        assert classify_forced(g).unforced != 0
 
 
 def test_report_deterministic_under_relabeling_and_shuffling():
@@ -161,13 +249,6 @@ def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
     assert sizes == [2]
 
 
-def test_report_deterministic_across_solvers():
-    graphs = list(enumerate_connected_graphs(5))
-    fast = run_harness(graphs, 5, solver="bnb")
-    slow = run_harness(graphs, 5, solver="bruteforce")
-    assert fast.to_json() == slow.to_json()
-
-
 def test_structured_dump_is_stable_and_timing_free():
     graphs = list(enumerate_connected_graphs(4))
     first = run_harness(graphs, 4).to_json()
@@ -230,12 +311,5 @@ def test_rendering_of_a_synthetic_failure():
 
 
 def test_run_harness_validates_arguments():
-    for kwargs in (
-        {"solver": "magic"},
-        {"jobs": 0},
-    ):
-        try:
-            run_harness([], 3, **kwargs)
-        except ValueError:
-            continue
-        raise AssertionError(f"accepted {kwargs}")
+    with pytest.raises(ValueError):
+        run_harness([], 3, jobs=0)
