@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .graphs import (
     Graph,
     NotLocatableError,
-    connected_components,
+    component_masks,
     from_edges,
     induced_subgraph,
     is_connected,
@@ -155,9 +155,10 @@ def is_union_of_half_graphs(g: Graph) -> bool:
     """True iff every connected component of g is a half-graph.
 
     These are exactly the locatable graphs with gamma_OL equal to the
-    order; the order-0 graph qualifies vacuously.
+    order; the order-0 graph qualifies vacuously.  A connected graph is
+    tested as it stands, without a component copy.
     """
-    return all(
-        is_half_graph(component) is not None
-        for component, _ in connected_components(g)
-    )
+    masks = component_masks(g)
+    if len(masks) == 1:
+        return is_half_graph(g) is not None
+    return all(is_half_graph(induced_subgraph(g, m)[0]) is not None for m in masks)

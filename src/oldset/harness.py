@@ -16,10 +16,17 @@ removal witness, or a union of half-graphs), and such a graph is a
 counterexample unless the certificate, gamma = n and the half-graph
 test all agree: a wrong solver or forced-vertex analysis still fails.
 
-Reports are deterministic: per-graph findings are keyed and sorted by
-canonical certificate, so any relabeling or reordering of the input
-stream, and any worker count, produces the identical report.  The
-structured rendering omits wall-clock time for the same reason.
+Reports are deterministic: findings are keyed and sorted by canonical
+certificate, so any relabeling or reordering of the input stream, and
+any worker count, produces the identical report.  Only the graphs the
+report names are canonicalised: those with a finding (an order
+mismatch, an extremal or exactly solved graph, a violation).  The
+labeling search is exponential and would otherwise run on every input
+graph to key rows that are then dropped.  The order does not change:
+the rows come back in input order, and a stable sort of the named rows
+lists them exactly as sorting every row and then keeping the named
+ones would, ties between isomorphic copies included.  The structured
+rendering omits wall-clock time for the same reason.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ class HarnessReport:
     bondy_violations and prop2_violations are analogous, and empty on
     every input if the mathematics is right.  record_errors carries
     per-record parse or order problems without aborting the sweep.
+    Every list after the caller's record errors is in certificate order,
+    ties in input order; graphs that appear in no list are counted but
+    never canonicalised.
     """
 
     n: int
@@ -130,25 +140,26 @@ class HarnessReport:
 class _Row(NamedTuple):
     """What one graph contributes to the report, the same for every graph."""
 
-    cert: str
     order: int
     locatable: bool
     extremal: bool
     gamma: int | None  # solved only when extremal or half_graph
     half_graph: bool
-    bondy_count: int
+    bondy_bad: int  # the location-forced count when it reaches n, else 0
     prop2_bad: tuple[int, ...]
 
 
-def _examine(g: Graph) -> _Row:
+def _cert(g: Graph) -> str:
     # beyond the canonicalization limit fall back to the raw encoding;
     # such streams must already be isomorph-free for determinism
     if g.n <= CANONICAL_ORDER_LIMIT:
-        cert = canonical_form(g).decode("ascii")
-    else:
-        cert = to_graph6(g)
+        return canonical_form(g).decode("ascii")
+    return to_graph6(g)
+
+
+def _examine(g: Graph) -> _Row:
     if not is_locatable(g):
-        return _Row(cert, g.n, False, False, None, False, 0, ())
+        return _Row(g.n, False, False, None, False, 0, ())
     parts = classify_forced(g)
     full = (1 << g.n) - 1
     prop2_bad = tuple(
@@ -160,17 +171,10 @@ def _examine(g: Graph) -> _Row:
     # exactly the half-graph test; it extends to disconnected input
     # through the additivity of gamma_OL over components
     half = is_union_of_half_graphs(g)
-    return _Row(
-        cert,
-        g.n,
-        True,
-        extremal,
-        old_number(g).gamma if extremal or half else None,
-        half,
-        # the location-forced count, as bondy_check computes it
-        parts.location_forced.bit_count(),
-        prop2_bad,
-    )
+    gamma = old_number(g).gamma if extremal or half else None
+    bondy = parts.location_forced.bit_count()  # as bondy_check counts
+    bondy_bad = bondy if bondy > max(g.n - 1, 0) else 0
+    return _Row(g.n, True, extremal, gamma, half, bondy_bad, prop2_bad)
 
 
 def run_harness(
@@ -185,9 +189,11 @@ def run_harness(
     analysis.  A graph is extremal exactly when no unforced v leaves
     V - v an OLD set: supersets of OLD sets are OLD sets and a forced
     vertex can never be dropped.  Only graphs that this certificate or
-    half-graph recognition calls extremal are solved exactly.  jobs > 1
-    fans the per-graph work out to a process pool of at most min(jobs,
-    CPU count, chunks of work) workers, which cannot change the report.
+    half-graph recognition calls extremal are solved exactly, and only
+    graphs that land in a report list get a canonical certificate.
+    jobs > 1 fans the per-graph work out to a process pool of at most
+    min(jobs, CPU count, chunks of work) workers, which cannot change
+    the report.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -205,25 +211,28 @@ def run_harness(
             rows = list(pool.map(_examine, batch, chunksize=chunk))
 
     report = HarnessReport(n=n, record_errors=list(record_errors))
-    rows.sort(key=lambda row: row.cert)
-    for row in rows:
-        report.graphs_scanned += 1
+    report.graphs_scanned = len(rows)
+    report.locatable_count = sum(row.locatable for row in rows)
+    # pool.map keeps rows in batch order, so the stable sort below puts
+    # the named rows in the order a sort of every row would
+    named = [
+        (_cert(g), row)
+        for g, row in zip(batch, rows)
+        if row.order != n or row.gamma is not None or row.bondy_bad or row.prop2_bad
+    ]
+    named.sort(key=lambda pair: pair[0])
+    for cert, row in named:
         if row.order != n:
-            report.record_errors.append(
-                f"{row.cert}: order differs from sweep order {n}"
-            )
-        if not row.locatable:
-            continue
-        report.locatable_count += 1
+            report.record_errors.append(f"{cert}: order differs from sweep order {n}")
         if row.extremal:
-            report.extremal.append(row.cert)
+            report.extremal.append(cert)
         if row.gamma is not None and not (
             row.extremal == (row.gamma == row.order) == row.half_graph
         ):
-            report.counterexamples.append((row.cert, row.gamma, row.half_graph))
-        if row.bondy_count > max(row.order - 1, 0):
-            report.bondy_violations.append((row.cert, row.bondy_count))
-        report.prop2_violations.extend((row.cert, v) for v in row.prop2_bad)
+            report.counterexamples.append((cert, row.gamma, row.half_graph))
+        if row.bondy_bad:
+            report.bondy_violations.append((cert, row.bondy_bad))
+        report.prop2_violations.extend((cert, v) for v in row.prop2_bad)
     report.theorem_holds = not report.counterexamples
     report.timing = time.perf_counter() - started
     return report

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import oldset.graphs
 import oldset.harness
 from oldset import (
     ForcedClassification,
@@ -20,11 +21,13 @@ from oldset import (
     enumerate_connected_graphs,
     from_edges,
     half_graph,
+    induced_subgraph,
     is_connected,
     is_locatable,
     old_number,
     parse_graph6,
     run_harness,
+    to_graph6,
 )
 
 
@@ -182,17 +185,136 @@ def test_single_edge_toggles_of_a_half_graph_are_not_extremal(k):
         assert classify_forced(g).unforced != 0
 
 
-def test_report_deterministic_under_relabeling_and_shuffling():
-    rng = random.Random(97)
-    graphs = list(enumerate_connected_graphs(6))
-    relabeled = []
+def _one_vertex_larger(h):
+    """Connected locatable graphs: h plus a vertex joined to a nonempty subset."""
+    for mask in range(1, 1 << h.n):
+        rows = tuple(row | (mask >> v & 1) << h.n for v, row in enumerate(h.adj))
+        g = Graph(h.n + 1, rows + (mask,))
+        if is_connected(g) and is_locatable(g):
+            yield g
+
+
+def _one_vertex_smaller(h):
+    """Every graph h - v."""
+    full = (1 << h.n) - 1
+    for v in range(h.n):
+        yield induced_subgraph(h, full & ~(1 << v))[0]
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_graphs_one_vertex_off_a_half_graph_are_not_extremal(k, tmp_path, capsys):
+    from oldset.cli import main
+
+    h = half_graph(k)
+    larger = list(_one_vertex_larger(h))
+    smaller = list(_one_vertex_smaller(h))
+    assert larger
+    # deleting v_1 or w_k isolates w_1 or v_k, and any other deletion
+    # leaves two twins, so no graph one vertex smaller is locatable
+    assert not any(is_locatable(g) for g in smaller)
+    for name, graphs in (("larger", larger), ("smaller", smaller)):
+        path = tmp_path / f"{name}.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        order = graphs[0].n
+        argv = ["verify", "--stream", str(path), "--n", str(order)]
+        assert main(argv + ["--format", "structured"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["graphs_scanned"] == len(graphs)
+        assert payload["locatable_count"] == sum(map(is_locatable, graphs))
+        assert payload["extremal"] == []
+        assert payload["record_errors"] == []
+        for violations in ("counterexamples", "bondy_violations", "prop2_violations"):
+            assert payload[violations] == []
+
+
+def _scrambled(graphs, seed):
+    """Randomly relabeled copies of graphs, in shuffled order."""
+    rng = random.Random(seed)
+    copies = []
     for g in graphs:
         perm = list(range(g.n))
         rng.shuffle(perm)
-        relabeled.append(_relabel(g, perm))
-    rng.shuffle(relabeled)
+        copies.append(_relabel(g, perm))
+    rng.shuffle(copies)
+    return copies
+
+
+def test_only_reported_graphs_are_canonicalised(monkeypatch):
+    searched = []
+    labeling = oldset.graphs._canonical_labeling
+
+    def counted(g):
+        result = labeling(g)
+        searched.append(result[0]._canon.decode("ascii"))
+        return result
+
+    # fresh copies carry no certificate from the enumeration
+    stream = _scrambled(enumerate_connected_graphs(6), 3)
+    monkeypatch.setattr(oldset.graphs, "_canonical_labeling", counted)
+    report = run_harness(stream, 6)
+    assert report.graphs_scanned == 112
+    assert report.extremal == ["E@Ug"]
+    assert searched == ["E@Ug"]
+
+
+def _mixed_stream():
+    """Every order-6 class, extra and off-order half-graphs, non-locatable graphs."""
+    c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    extra = [half_graph(2), half_graph(3), half_graph(3), half_graph(4), c4, c4, _k(5)]
+    return list(enumerate_connected_graphs(6)) + extra
+
+
+def _the_one_report(stream):
+    """The report of stream, equal under two scramblings and one or two jobs."""
+    reports = {
+        run_harness(_scrambled(stream, seed), 6, jobs=jobs).to_json()
+        for seed in (1, 2)
+        for jobs in (1, 2)
+    }
+    assert len(reports) == 1
+    return json.loads(reports.pop())
+
+
+def test_mixed_stream_report_is_deterministic_in_certificate_order():
+    stream = _mixed_stream()
+    report = _the_one_report(stream)
+    assert report["extremal"] == sorted(
+        canonical_form(half_graph(k)).decode("ascii") for k in (2, 3, 3, 3, 4)
+    )
+    off_order = sorted(
+        canonical_form(g).decode("ascii") for g in stream if g.n != 6
+    )
+    assert len(off_order) == 5
+    assert report["record_errors"] == [
+        f"{cert}: order differs from sweep order 6" for cert in off_order
+    ]
+    assert report["graphs_scanned"] == len(stream)
+    assert report["locatable_count"] == sum(map(is_locatable, stream))
+
+
+def test_mixed_stream_violations_are_deterministic(monkeypatch):
+    # every locatable graph is called extremal, breaks the Bondy bound
+    # and solves one short of its order, filling the remaining lists
+    monkeypatch.setattr(oldset.harness, "classify_forced", _everything_forced)
+    monkeypatch.setattr(oldset.harness, "old_number", _gamma_one_short)
+    monkeypatch.setattr(
+        oldset.harness, "ProcessPoolExecutor", lambda max_workers: _InProcessPool()
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    stream = _mixed_stream()
+    report = _the_one_report(stream)
+    locatable = sorted(
+        canonical_form(g).decode("ascii") for g in stream if is_locatable(g)
+    )
+    assert [cert for cert, _, _ in report["counterexamples"]] == locatable
+    assert [cert for cert, _ in report["bondy_violations"]] == locatable
+    assert report["extremal"] == locatable
+
+
+def test_report_deterministic_under_relabeling_and_shuffling():
+    graphs = list(enumerate_connected_graphs(6))
     original = run_harness(graphs, 6)
-    scrambled = run_harness(relabeled, 6)
+    scrambled = run_harness(_scrambled(graphs, 97), 6)
     assert original.to_json() == scrambled.to_json()
 
 
