@@ -11,14 +11,27 @@ that certificate cached, sorted by certificate, so the stream is
 deterministic.
 
 Each parent is extended once per orbit of neighbourhood masks under its
-automorphisms (McKay 1998, *Isomorph-free exhaustive generation*):
-masks m and p(m) for an automorphism p give children that p, extended
-by fixing the new vertex, maps onto each other.  The generators come
-from a canonical labeling search of the parent.  A subgroup of the
-automorphism group would be enough for soundness, because its orbits
-only split the full ones and the certificate dict still drops every
-duplicate child; the search in fact yields the whole group, so each
-orbit is canonicalised once.
+automorphisms (McKay 1998, *Isomorph-free exhaustive generation*, J.
+Algorithms 26): masks m and p(m) for an automorphism p give children
+that p, extended by fixing the new vertex, maps onto each other.  The
+generators come from a canonical labeling search of the parent.  A
+subgroup of the automorphism group would be enough for soundness,
+because its orbits only split the full ones and the certificate dict
+still drops every duplicate child; the search in fact yields the whole
+group, so each orbit is tried once.
+
+A child is labeled only when no non-cut vertex of it has a larger
+degree than its new vertex x, the invariant test of the same canonical
+augmentation; most children fail it and never reach the labeling
+search.  No class is lost.  A connected graph G of order >= 2 has a
+non-cut vertex; let v be one of maximum degree among them.  G - v is
+connected, so it is a parent class, and the orbit representative of
+v's neighbourhood gives a child isomorphic to G whose new vertex maps
+to v.  Degree and cut-ness are invariant under isomorphism, so that
+child passes.  x itself is never a cut vertex, because the parent is
+connected, so only vertices of larger degree need the cut test.  The
+children that pass can still be isomorphic, and the certificate dict
+drops those.
 
 Counts through MAX_BUILTIN_ORDER match the standard tables: 1, 1, 2, 6,
 21, 112, 853, 11117 connected classes for n = 1..8.
@@ -29,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _canonical_labeling, _graph, iter_bits
+from .graphs import Graph, _canonical_labeling, _closure, _graph, iter_bits
 
 __all__ = ["MAX_BUILTIN_ORDER", "enumerate_connected_graphs"]
 
@@ -42,6 +55,12 @@ def _extend(parent: Graph, mask: int) -> Graph:
     rows = [row | (mask >> v & 1) << (n - 1) for v, row in enumerate(parent.adj)]
     rows.append(mask)
     return _graph(n, tuple(rows))
+
+
+def _is_cut_vertex(g: Graph, u: int) -> bool:
+    """Whether deleting u disconnects the connected graph g."""
+    rest = (1 << g.n) - 1 & ~(1 << u)
+    return _closure(g, rest & -rest, rest) != rest
 
 
 def _orbit_representatives(
@@ -80,7 +99,14 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
         # parents are canonically labeled, so the generators act on them
         gens = _canonical_labeling(parent)[1]
         for mask in _orbit_representatives(range(1, 1 << parent.n), gens):
-            child = _canonical_labeling(_extend(parent, mask))[0]
+            child = _extend(parent, mask)
+            degree = mask.bit_count()
+            if any(
+                row.bit_count() > degree and not _is_cut_vertex(child, u)
+                for u, row in enumerate(child.adj)
+            ):
+                continue
+            child = _canonical_labeling(child)[0]
             seen.setdefault(child._canon, child)
     return tuple(seen[cert] for cert in sorted(seen))
 

@@ -11,7 +11,7 @@ anything malformed raises :class:`GraphFormatError` instead of guessing.
 
 from __future__ import annotations
 
-from .graphs import Graph, _g6_bytes
+from .graphs import Graph, _g6_bytes, _graph
 
 __all__ = ["GraphFormatError", "parse_graph6", "to_graph6"]
 
@@ -85,7 +85,8 @@ def parse_graph6(record: str) -> Graph:
         padding = body[-1] - 63 & (1 << 6 - nbits % 6) - 1
         if padding:
             raise _fail(text, "nonzero padding bits")
-    return Graph(n, rows)
+    # symmetric, loopless and in range by construction
+    return _graph(n, tuple(rows))
 
 
 def to_graph6(g: Graph) -> str:

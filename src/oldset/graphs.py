@@ -129,7 +129,8 @@ def _graph(n: int, adj: tuple[VertexSet, ...], canon: bytes | None = None) -> Gr
     """Trusted constructor: no validation, optionally a cached certificate.
 
     Only for rows built inside the package, which are symmetric, loopless
-    and in range by construction; outside input goes through Graph().
+    and in range by construction (the graph6 decoder's too); other
+    outside input goes through Graph().
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
@@ -218,15 +219,18 @@ class NotLocatableError(ValueError):
         super().__init__("no OLD set exists: " + "; ".join(parts))
 
 
-def _closure(g: Graph, seed: VertexSet) -> VertexSet:
-    """Union of seed with everything reachable from it."""
+def _closure(g: Graph, seed: VertexSet, within: VertexSet = -1) -> VertexSet:
+    """Union of seed with everything reachable from it inside within.
+
+    within defaults to every vertex; seed must lie inside it.
+    """
     reached = seed
     frontier = seed
     while frontier:
         grow = 0
         for v in iter_bits(frontier):
             grow |= g.adj[v]
-        frontier = grow & ~reached
+        frontier = grow & within & ~reached
         reached |= frontier
     return reached
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -207,6 +206,9 @@ def run_harness(
     if workers <= 1:
         rows = [_examine(g) for g in batch]
     else:
+        # imported here: a sweep that never forks should not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_examine, batch, chunksize=chunk))
 

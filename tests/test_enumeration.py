@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations, permutations
+
+import pytest
 
 from oldset import (
     Graph,
@@ -14,7 +17,12 @@ from oldset import (
     iter_bits,
     to_graph6,
 )
-from oldset.enumeration import _orbit_representatives
+import oldset.enumeration
+from oldset.enumeration import (
+    _connected_classes,
+    _is_cut_vertex,
+    _orbit_representatives,
+)
 from oldset.graphs import _canonical_labeling
 
 # connected classes per order; 1..6 re-derived by the Burnside oracle
@@ -235,3 +243,46 @@ def test_twin_classes_give_one_generator_per_consecutive_pair():
         complete = from_edges(n, combinations(range(n), 2))
         for g in (complete, Graph(n, [0] * n)):
             assert len(_canonical_labeling(g)[1]) == n - 1
+
+
+def test_classes_through_order_8_are_pinned():
+    # every representative with its labels and certificate; filtering
+    # children must not change which one stands for a class
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for g in enumerate_connected_graphs(n):
+            digest.update(repr((g.n, g.adj, canonical_form(g))).encode())
+    assert digest.hexdigest() == (
+        "ebce041e708b3556d5efbe91d8e1782f59e98d56d768f5fa8f6bbe8e8319a335"
+    )
+
+
+def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
+    # labeling every orbit representative child would take 4,303
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return _canonical_labeling(g)
+
+    _connected_classes.cache_clear()
+    monkeypatch.setattr(oldset.enumeration, "_canonical_labeling", counted)
+    try:
+        assert len(list(enumerate_connected_graphs(7))) == 853
+    finally:
+        _connected_classes.cache_clear()
+    assert len(calls) == 1468
+
+
+def test_cut_vertices_match_networkx_articulation_points():
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for h in nx.graph_atlas_g():
+        if len(h) == 0 or not nx.is_connected(h):
+            continue
+        g = Graph(len(h), [sum(1 << u for u in h[v]) for v in range(len(h))])
+        cut = {u for u in range(g.n) if _is_cut_vertex(g, u)}
+        assert cut == set(nx.articulation_points(h))
+        checked += 1
+    # connected graphs of order 1..7
+    assert checked == sum(CONNECTED_COUNTS[n] for n in range(1, 8))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import random
@@ -298,7 +299,9 @@ def test_mixed_stream_violations_are_deterministic(monkeypatch):
     monkeypatch.setattr(oldset.harness, "classify_forced", _everything_forced)
     monkeypatch.setattr(oldset.harness, "old_number", _gamma_one_short)
     monkeypatch.setattr(
-        oldset.harness, "ProcessPoolExecutor", lambda max_workers: _InProcessPool()
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda max_workers: _InProcessPool(),
     )
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     stream = _mixed_stream()
@@ -347,7 +350,7 @@ def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
         sizes.append(max_workers)
         return _InProcessPool()
 
-    monkeypatch.setattr(oldset.harness, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     graphs = list(enumerate_connected_graphs(5))  # 21 graphs
     solo = run_harness(graphs, 5).to_json()
     for cores, jobs, count, expected in [
