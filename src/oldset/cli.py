@@ -236,13 +236,11 @@ def _cmd_verify(args) -> int:
                 graphs.append(parse_graph6(line))
             except GraphFormatError as exc:
                 record_errors.append(f"record {index}: {exc}")
-        if args.n is not None:
-            n = args.n
-        elif graphs:
-            n = graphs[0].n
-        else:
+        # an explicit order does not make an empty sweep a success
+        if not graphs:
             print("stream contains no parsable records", file=sys.stderr)
             return EXIT_PARSE
+        n = graphs[0].n if args.n is None else args.n
 
     report = run_harness(graphs, n, jobs=args.jobs, record_errors=record_errors)
     if args.format == "structured":
@@ -304,8 +302,9 @@ def _build_parser() -> _Parser:
         "--jobs",
         type=_positive,
         default=1,
-        help="worker processes, capped at the CPU count and at one per "
-        "chunk of work",
+        help="upper bound on worker processes, capped at the CPU count and "
+        "at one per chunk of work; a sweep forks only when the rest of its "
+        "work, at the rate seen so far, outweighs starting a pool",
     )
     verify.set_defaults(entry=_cmd_verify)
     return parser

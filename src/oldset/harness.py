@@ -27,6 +27,12 @@ the rows come back in input order, and a stable sort of the named rows
 lists them exactly as sorting every row and then keeping the named
 ones would, ties between isomorphic copies included.  The structured
 rendering omits wall-clock time for the same reason.
+
+More than one job is an upper bound, not a promise of a pool.  Most
+graphs cost far less to examine than a process pool costs to start, so
+the sweep examines graphs in process first and forks only when the rest
+of the batch, at the rate seen so far, would take well over the pool's
+start-up.  The rows keep input order either way.
 """
 
 from __future__ import annotations
@@ -51,6 +57,12 @@ from .graphs import (
 from .halfgraphs import is_union_of_half_graphs
 
 __all__ = ["HarnessReport", "run_harness"]
+
+# A pool costs 70-100 ms to start on two cores and a cheap graph well
+# under 0.1 ms to examine, so a sweep first examines graphs in process
+# for _PROBE_S and forks only for a rest projected to take _POOL_PAYS_S.
+_PROBE_S = 0.05
+_POOL_PAYS_S = 0.5
 
 
 @dataclass
@@ -176,6 +188,31 @@ def _examine(g: Graph) -> _Row:
     return _Row(g.n, True, extremal, gamma, half, bondy_bad, prop2_bad)
 
 
+def _probe_then_pool(batch: list[Graph], workers: int) -> list[_Row]:
+    """Rows of batch in order; the rest goes to a pool only if it pays."""
+    rows = []
+    started = time.perf_counter()
+    for g in batch:
+        rows.append(_examine(g))
+        if time.perf_counter() - started >= _PROBE_S:
+            break
+    rest = batch[len(rows):]
+    projected = (time.perf_counter() - started) / max(len(rows), 1) * len(rest)
+    # the pool forks every worker on its first task, so never ask for
+    # more than there are cores, or chunks to hand out
+    chunk = max(1, len(rest) // (workers * 8))
+    workers = min(workers, -(-len(rest) // chunk))
+    if workers <= 1 or projected < _POOL_PAYS_S:
+        rows.extend(_examine(g) for g in rest)
+        return rows
+    # imported here: a sweep that never forks should not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        rows.extend(pool.map(_examine, rest, chunksize=chunk))
+    return rows
+
+
 def run_harness(
     graphs: Iterable[Graph],
     n: int,
@@ -190,27 +227,22 @@ def run_harness(
     vertex can never be dropped.  Only graphs that this certificate or
     half-graph recognition calls extremal are solved exactly, and only
     graphs that land in a report list get a canonical certificate.
-    jobs > 1 fans the per-graph work out to a process pool of at most
-    min(jobs, CPU count, chunks of work) workers, which cannot change
-    the report.
+    jobs > 1 allows a process pool of at most min(jobs, CPU count,
+    chunks of work) workers.  The sweep examines graphs in process for
+    a short probe and hands the rest to a pool only when the rest,
+    at the rate the probe saw, projects to well over the cost of
+    starting one; otherwise it finishes in process.  The decision
+    cannot change the report.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
     started = time.perf_counter()
     batch = list(graphs)
-    # the pool forks every worker on its first task, so never ask for
-    # more than there are cores, or chunks to hand out
     workers = min(jobs, os.cpu_count() or 1)
-    chunk = max(1, len(batch) // (workers * 8))
-    workers = min(workers, -(-len(batch) // chunk))
     if workers <= 1:
         rows = [_examine(g) for g in batch]
     else:
-        # imported here: a sweep that never forks should not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_examine, batch, chunksize=chunk))
+        rows = _probe_then_pool(batch, workers)
 
     report = HarnessReport(n=n, record_errors=list(record_errors))
     report.graphs_scanned = len(rows)

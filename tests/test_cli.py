@@ -217,6 +217,19 @@ def test_verify_stream_reports_bad_records_without_aborting(capsys, tmp_path):
     assert len(payload["record_errors"]) == 1
 
 
+@pytest.mark.parametrize("content", ["!!!\n", ""], ids=["all_bad", "empty"])
+@pytest.mark.parametrize("order", [[], ["--n", "2"]], ids=["no_n", "with_n"])
+def test_verify_stream_without_parsable_records_exits_2(
+    tmp_path, capsys, content, order
+):
+    path = tmp_path / "none.g6"
+    path.write_text(content)
+    code, out, err = _run(capsys, "verify", "--stream", str(path), *order)
+    assert code == 2
+    assert out == ""
+    assert err == "stream contains no parsable records\n"
+
+
 def test_verify_missing_stream_file(capsys):
     code, _, err = _run(capsys, "verify", "--stream", "/no/such/file.g6")
     assert code == 2

@@ -304,6 +304,7 @@ def test_mixed_stream_violations_are_deterministic(monkeypatch):
         lambda max_workers: _InProcessPool(),
     )
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _decide_after_one_graph(monkeypatch)
     stream = _mixed_stream()
     report = _the_one_report(stream)
     locatable = sorted(
@@ -341,6 +342,12 @@ class _InProcessPool:
         return map(fn, items)
 
 
+def _decide_after_one_graph(monkeypatch):
+    """Make every sweep with more than one graph left take its pool."""
+    monkeypatch.setattr(oldset.harness, "_PROBE_S", 0)
+    monkeypatch.setattr(oldset.harness, "_POOL_PAYS_S", 0)
+
+
 def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
     from oldset.cli import main
 
@@ -351,27 +358,69 @@ def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
         return _InProcessPool()
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    _decide_after_one_graph(monkeypatch)
     graphs = list(enumerate_connected_graphs(5))  # 21 graphs
     solo = run_harness(graphs, 5).to_json()
+    # the probe takes one graph, so each cap counts the count - 1 left
     for cores, jobs, count, expected in [
         (2, 5000, 21, 2),   # never more workers than cores
         (2, 2, 21, 2),      # two jobs on two cores keep both
-        (64, 5000, 21, 21),  # one graph per chunk, one chunk per worker
-        (64, 5000, 3, 3),
+        (64, 5000, 21, 20),  # one graph per chunk, one chunk per worker
+        (64, 5000, 3, 2),
         (64, 8, 21, 8),
         (None, 4, 21, None),  # unknown core count: run in process
+        (64, 4, 2, None),  # one graph left is one chunk
         (64, 4, 1, None),
+        (64, 4, 0, None),
     ]:
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         sizes.clear()
         report = run_harness(graphs[:count], 5, jobs=jobs)
         assert sizes == ([] if expected is None else [expected])
+        assert report.graphs_scanned == count
         if count == len(graphs):
             assert report.to_json() == solo
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sizes.clear()
     assert main(["verify", "--n", "5", "--jobs", "5000", "--format", "structured"]) == 0
     assert sizes == [2]
+
+
+def _no_pool(max_workers):
+    raise AssertionError("a cheap sweep started a process pool")
+
+
+def test_a_cheap_sweep_starts_no_pool(monkeypatch, tmp_path, capsys):
+    from oldset.cli import main
+
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in _mixed_stream()))
+    argv = ["verify", "--stream", str(path), "--n", "6", "--format", "structured"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    solo = capsys.readouterr().out
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == solo
+
+
+def test_a_real_pool_keeps_the_report(monkeypatch):
+    # graphs and rows cross a process boundary, through Graph.__reduce__
+    # and _Row, only on this path
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counted(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _decide_after_one_graph(monkeypatch)
+    solo = run_harness(enumerate_connected_graphs(6), 6).to_json()
+    pooled = run_harness(enumerate_connected_graphs(6), 6, jobs=2).to_json()
+    assert started == [2]
+    assert pooled == solo
 
 
 def test_structured_dump_is_stable_and_timing_free():
