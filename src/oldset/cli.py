@@ -238,6 +238,8 @@ def _cmd_verify(args) -> int:
                 record_errors.append(f"record {index}: {exc}")
         # an explicit order does not make an empty sweep a success
         if not graphs:
+            for error in record_errors:
+                print(error, file=sys.stderr)
             print("stream contains no parsable records", file=sys.stderr)
             return EXIT_PARSE
         n = graphs[0].n if args.n is None else args.n

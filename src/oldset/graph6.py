@@ -7,6 +7,13 @@ offset 63 and zero padding.  The size prefix is a single byte n+63 for
 n <= 62, '~' plus three bytes for n <= 258047, and '~~' plus six bytes
 beyond that; each size must use its shortest form.  Parsing is strict:
 anything malformed raises :class:`GraphFormatError` instead of guessing.
+
+Decoding does one step per edge, not one per matrix bit: a table lists
+the set-bit offsets of each 6-bit value, and the column bounds of the
+upper triangle move forward as the set positions rise, so a position
+becomes a (column, row) pair without a per-order table.  The padding
+check runs before the decode, so a set padding bit is reported as such
+and never read as a matrix position past the last column.
 """
 
 from __future__ import annotations
@@ -18,6 +25,11 @@ __all__ = ["GraphFormatError", "parse_graph6", "to_graph6"]
 
 class GraphFormatError(ValueError):
     """A graph6 record that cannot be decoded."""
+
+
+# _SET_BITS[v]: offsets of the set bits of the 6-bit value v, counted
+# from its most significant bit as graph6 packs them
+_SET_BITS = tuple(tuple(i for i in range(6) if v >> 5 - i & 1) for v in range(64))
 
 
 def _fail(record: str, reason: str) -> GraphFormatError:
@@ -39,9 +51,9 @@ def parse_graph6(record: str) -> Graph:
         data = text.encode("ascii")
     except UnicodeEncodeError:
         raise _fail(text, "non-ASCII byte") from None
-    for byte in data:
-        if not 63 <= byte <= 126:
-            raise _fail(text, f"byte {byte} outside the graph6 range 63..126")
+    if min(data) < 63 or max(data) > 126:
+        byte = next(b for b in data if not 63 <= b <= 126)
+        raise _fail(text, f"byte {byte} outside the graph6 range 63..126")
 
     if data[0] != 126:
         n = data[0] - 63
@@ -72,19 +84,27 @@ def parse_graph6(record: str) -> Graph:
             text, f"order {n} needs {expected} data bytes, found {len(body)}"
         )
 
+    # before the decode, so that a set padding bit never reads as a
+    # matrix position past the last column
+    if nbits % 6 and body[-1] - 63 & (1 << 6 - nbits % 6) - 1:
+        raise _fail(text, "nonzero padding bits")
+
+    # one step per set bit: position p is (col, p - start) for the
+    # column bounds start <= p < end, which only move forward
     rows = [0] * n
+    col, start, end = 1, 0, 1
     pos = 0
-    for col in range(1, n):
-        for row in range(col):
-            bit = body[pos // 6] - 63 >> 5 - pos % 6 & 1
-            pos += 1
-            if bit:
-                rows[col] |= 1 << row
-                rows[row] |= 1 << col
-    if nbits % 6:
-        padding = body[-1] - 63 & (1 << 6 - nbits % 6) - 1
-        if padding:
-            raise _fail(text, "nonzero padding bits")
+    for byte in body:
+        for offset in _SET_BITS[byte - 63]:
+            p = pos + offset
+            while p >= end:
+                col += 1
+                start = end
+                end += col
+            row = p - start
+            rows[col] |= 1 << row
+            rows[row] |= 1 << col
+        pos += 6
     # symmetric, loopless and in range by construction
     return _graph(n, tuple(rows))
 

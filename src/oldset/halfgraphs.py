@@ -9,7 +9,9 @@ number is as large as it can get.
 Recognition needs no search.  In H_k the degree of v_i is k - i + 1 and
 the degree of w_j is j, so each side carries every degree 1..k exactly
 once; sorting each side by degree pins the only possible labeling, and
-one pass checks the i <= j edge law.
+one pass checks the i <= j edge law.  The degrees alone, two vertices of
+each degree 1..k per component, turn away most graphs before any
+structural pass.
 
 Peeling inverts the growth step H_{k-1} -> H_k.  A peel step removes a
 pendant vertex y together with its unique neighbour x, provided some
@@ -74,6 +76,26 @@ def half_graph(k: int) -> Graph:
     )
 
 
+def _half_graph_count(g: Graph) -> int:
+    """How many half-graph components the degrees of g allow, or -1.
+
+    H_k has two vertices of each degree 1..k, so a union of H_{k_1},
+    ..., H_{k_m} has an even number 2 * #{i : k_i >= d} of vertices of
+    each degree d >= 1, a number that never grows with d, and no vertex
+    of degree 0; m is half the number of degree 1.  Degrees that break
+    this rule give -1.
+    """
+    degrees = sorted(map(int.bit_count, g.adj))
+    if degrees[::2] != degrees[1::2]:
+        return -1
+    counts = [0] * (g.n + 1)
+    for d in degrees[::2]:
+        counts[d] += 1
+    if counts[0] or any(a < b for a, b in zip(counts[1:], counts[2:])):
+        return -1
+    return counts[1] if g.n else 0
+
+
 def _labeling_for(g: Graph, side_a: list[int], side_b: list[int]) -> HalfGraphLabeling | None:
     """Try side_a as the v side and side_b as the w side."""
     k = len(side_a)
@@ -100,10 +122,12 @@ def is_half_graph(g: Graph) -> HalfGraphLabeling | None:
     The graph must be connected with 2k vertices split by a proper
     2-colouring into two sides of size k whose degrees are each 1..k;
     both side assignments are tried, so the result is independent of
-    labeling.
+    labeling.  Before the connectivity and colouring passes, the sorted
+    degrees must read 1, 1, 2, 2, ..., k, k.  H_k has exactly these
+    degrees, so the gate turns away no half-graph.
     """
     n = g.n
-    if n == 0 or n % 2 or not is_connected(g):
+    if _half_graph_count(g) != 1 or not is_connected(g):
         return None
     colour = [-1] * n
     colour[0] = 0
@@ -155,9 +179,15 @@ def is_union_of_half_graphs(g: Graph) -> bool:
     """True iff every connected component of g is a half-graph.
 
     These are exactly the locatable graphs with gamma_OL equal to the
-    order; the order-0 graph qualifies vacuously.  A connected graph is
-    tested as it stands, without a component copy.
+    order; the order-0 graph qualifies vacuously.  Degree counts that no
+    union of half-graphs has (a vertex of degree 0, an odd number of
+    vertices of some degree, more vertices of degree d + 1 than of
+    degree d) give False before the components are found; every union
+    of half-graphs passes that gate, so it changes no verdict.  A
+    connected graph is tested as it stands, without a component copy.
     """
+    if _half_graph_count(g) < 0:
+        return False
     masks = component_masks(g)
     if len(masks) == 1:
         return is_half_graph(g) is not None

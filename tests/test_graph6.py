@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from oldset import (
     Graph,
     GraphFormatError,
@@ -58,6 +60,44 @@ def test_rejects_malformed_records():
     _rejects("~~??????A_")  # nor the 6-byte form
     _rejects("~?")         # truncated 3-byte size prefix
     _rejects("~~???")      # truncated 6-byte size prefix
+
+
+def _record(n: int, body: list[int]) -> str:
+    return chr(63 + n) + "".join(chr(63 + value) for value in body)
+
+
+def _layout(n: int) -> tuple[int, int]:
+    """(data bytes, padding bits in the last one) of an order-n record."""
+    nbits = n * (n - 1) // 2
+    return (nbits + 5) // 6, -nbits % 6
+
+
+def test_every_set_padding_value_is_a_format_error():
+    # a set padding bit would name a matrix position past the last
+    # column, so it must be caught before any position is decoded
+    for n in range(2, 13):
+        size, pad = _layout(n)
+        if not pad:
+            continue
+        data_mask = 63 & ~((1 << pad) - 1)
+        for fill in (0, 63):
+            for padding in range(1, 1 << pad):
+                record = _record(n, [fill] * (size - 1) + [fill & data_mask | padding])
+                with pytest.raises(GraphFormatError, match="nonzero padding bits"):
+                    parse_graph6(record)
+
+
+def test_all_ones_body_decodes_to_the_complete_graph():
+    # every data bit set reaches every offset of every 6-bit value
+    for n in range(13):
+        size, pad = _layout(n)
+        body = [63] * size
+        if pad:
+            body[-1] &= 63 & ~((1 << pad) - 1)
+        record = _record(n, body)
+        complete = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        assert parse_graph6(record) == complete
+        assert to_graph6(complete) == record
 
 
 def test_multibyte_size_round_trip():

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 from oldset import (
     Graph,
     NotLocatableError,
     canonical_form,
+    connected_components,
     disjoint_union,
     enumerate_connected_graphs,
     from_edges,
     half_graph,
+    is_connected,
     is_half_graph,
     is_union_of_half_graphs,
     open_neighbourhood,
@@ -90,7 +93,13 @@ def test_recognition_accepts_constructions_up_to_k12():
         rng.shuffle(perm)
         shuffled = _relabel(g, perm)
         labeling = is_half_graph(shuffled)
-        assert labeling is not None and labeling.k == k
+        # the v side is the colour class of vertex 0; if vertex 0 plays
+        # some w_j, the side swap v_i <-> w_{k+1-i} gives the labeling
+        if perm.index(0) < k:
+            v_order, w_order = perm[:k], perm[k:]
+        else:
+            v_order, w_order = perm[k:][::-1], perm[:k][::-1]
+        assert labeling == (k, tuple(v_order), tuple(w_order))
         # the labeling re-verifies the edge law over all k^2 pairs
         for i in range(k):
             for j in range(k):
@@ -180,3 +189,47 @@ def test_union_of_half_graphs():
     assert not is_union_of_half_graphs(disjoint_union(half_graph(2), _k(3)))
     assert is_union_of_half_graphs(Graph(0, ()))
     assert is_union_of_half_graphs(half_graph(3))
+
+
+def _union_oracle(g: Graph) -> bool:
+    """Every component C has the canonical form of H_{|C|/2}."""
+    # a connected graph is its own component, and an enumerated class
+    # keeps its cached certificate that way
+    components = [g] if is_connected(g) else [c for c, _ in connected_components(g)]
+    return all(
+        c.n % 2 == 0 and canonical_form(c, max_order=16) == _half_graph_cert(c.n // 2)
+        for c in components
+    )
+
+
+@functools.cache
+def _half_graph_cert(k: int) -> bytes:
+    return canonical_form(half_graph(k), max_order=16)
+
+
+def _toggles(h: Graph):
+    """Every graph one edge toggle away from h, disconnected ones too."""
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            adj = list(h.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            yield Graph(h.n, tuple(adj))
+
+
+def test_union_test_agrees_with_canonical_forms():
+    small = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    cases = [g for n in range(1, 9) for g in enumerate_connected_graphs(n)]
+    cases += [
+        disjoint_union(half_graph(j), half_graph(k))
+        for j in range(1, 5)
+        for k in range(1, 5)
+    ]
+    cases += [disjoint_union(half_graph(j), g) for j in range(1, 5) for g in small]
+    cases += [t for k in range(1, 7) for t in _toggles(half_graph(k))]
+    verdicts = [is_union_of_half_graphs(g) for g in cases]
+    assert verdicts == [_union_oracle(g) for g in cases]
+    # H_1..H_4, the 16 unions of two, H_j + H_1 and H_j + H_2 again from
+    # the small classes, and H_1 + H_1 from cutting the middle of H_2 = P_4
+    assert sum(verdicts) == 4 + 16 + 8 + 1
+
