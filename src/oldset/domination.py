@@ -21,7 +21,7 @@ never fires (supersets of OLD sets are OLD sets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .forced import classify_forced
 from .graphs import (
@@ -47,8 +47,7 @@ BRUTEFORCE = "bruteforce"
 BRANCH_AND_BOUND = "branch-and-bound"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of one exact solve.
 
     witness is the optimal OLD set as a mask.  nodes_explored counts the

@@ -20,18 +20,30 @@ because its orbits only split the full ones and the certificate dict
 still drops every duplicate child; the search in fact yields the whole
 group, so each orbit is tried once.
 
-A child is labeled only when no non-cut vertex of it has a larger
-degree than its new vertex x, the invariant test of the same canonical
-augmentation; most children fail it and never reach the labeling
-search.  No class is lost.  A connected graph G of order >= 2 has a
-non-cut vertex; let v be one of maximum degree among them.  G - v is
-connected, so it is a parent class, and the orbit representative of
-v's neighbourhood gives a child isomorphic to G whose new vertex maps
-to v.  Degree and cut-ness are invariant under isomorphism, so that
-child passes.  x itself is never a cut vertex, because the parent is
-connected, so only vertices of larger degree need the cut test.  The
-children that pass can still be isomorphic, and the certificate dict
-drops those.
+A child P + x is labeled only when no non-cut vertex u of it beats x
+on (degree, sum of its neighbours' degrees), compared in that order:
+the invariant test of the same canonical augmentation.  The test is
+decided on parent data, before the child exists.  With mask the
+neighbourhood of x, u's degree in the child is deg_P(u) plus one when
+u is in mask, and x's is |mask|; u's neighbour-degree sum grows by
+|N_P(u) & mask| and, when u is in mask, by |mask|, and x's is the sum
+of deg_P(w) + 1 over mask.  P + x - u is P - u with x joined to the
+components that mask meets, so u is a non-cut vertex of the child
+exactly when every component of P - u meets mask; the components are
+computed once per parent.  x itself is never a cut vertex, because the
+parent is connected.  Most children fail the test and are never built.
+
+No class is lost.  A connected graph G of order >= 2 has a non-cut
+vertex; let v be one that is greatest on (degree, neighbour-degree sum)
+among them.  G - v is connected, so it is a parent class, and the orbit
+representative of v's neighbourhood gives a child isomorphic to G whose
+new vertex maps to v.  Both invariants and cut-ness are preserved by
+isomorphism, so no non-cut vertex of that child beats its new vertex,
+and the child passes.  The children that pass can still be isomorphic,
+and the certificate dict drops those.  The test is invariant under the
+parent's automorphisms, which carry the child of a mask onto the child
+of its image with x fixed, so the accepted masks are a union of orbits
+and are reduced to orbit representatives after the test.
 
 Counts through MAX_BUILTIN_ORDER match the standard tables: 1, 1, 2, 6,
 21, 112, 853, 11117 connected classes for n = 1..8.
@@ -42,7 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _canonical_labeling, _closure, _graph, iter_bits
+from .graphs import Graph, _canonical_labeling, _graph, component_masks, iter_bits
 
 __all__ = ["MAX_BUILTIN_ORDER", "enumerate_connected_graphs"]
 
@@ -57,10 +69,42 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return _graph(n, tuple(rows))
 
 
-def _is_cut_vertex(g: Graph, u: int) -> bool:
-    """Whether deleting u disconnects the connected graph g."""
-    rest = (1 << g.n) - 1 & ~(1 << u)
-    return _closure(g, rest & -rest, rest) != rest
+def _accepted_masks(parent: Graph) -> list[int]:
+    """The nonempty masks, in increasing order, whose child passes the test.
+
+    The test is the one in the module docstring, decided on the parent:
+    the child P + x for mask is rejected when some non-cut vertex u of
+    it beats x on (degree, neighbour-degree sum).
+    """
+    m = parent.n
+    adj = parent.adj
+    full = (1 << m) - 1
+    deg = [row.bit_count() for row in adj]
+    deg_sums = [sum(deg[w] for w in iter_bits(row)) for row in adj]
+    # components of P - u, for each u
+    parts = [component_masks(parent, full ^ 1 << u) for u in range(m)]
+    # largest degree first, so that a rejection tends to come early
+    order = sorted(range(m), key=lambda u: (-deg[u], -deg_sums[u]))
+    # mask_deg[mask]: the parent degrees summed over mask
+    mask_deg = [0] * (1 << m)
+    accepted = []
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        mask_deg[mask] = mask_deg[mask ^ low] + deg[low.bit_length() - 1]
+        dx = mask.bit_count()
+        sx = mask_deg[mask] + dx
+        for u in order:
+            inside = mask >> u & 1
+            du = deg[u] + inside
+            if du < dx or du == dx and (
+                deg_sums[u] + (adj[u] & mask).bit_count() + inside * dx <= sx
+            ):
+                continue
+            if all(part & mask for part in parts[u]):
+                break
+        else:
+            accepted.append(mask)
+    return accepted
 
 
 def _orbit_representatives(
@@ -69,7 +113,10 @@ def _orbit_representatives(
     """The first mask of each orbit under the group gens generate.
 
     masks must be closed under the group, and their order decides which
-    member of an orbit stands for it.
+    member of an orbit stands for it.  A union of orbits is closed, so
+    masks may be all nonempty masks or only those an invariant test
+    accepts; the accepted masks get the representatives they had among
+    all masks, in the same order.
     """
     seen: set[int] = set()
     for mask in masks:
@@ -97,16 +144,9 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     seen: dict[bytes, Graph] = {}
     for parent in _connected_classes(n - 1):
         # parents are canonically labeled, so the generators act on them
-        gens = _canonical_labeling(parent)[1]
-        for mask in _orbit_representatives(range(1, 1 << parent.n), gens):
-            child = _extend(parent, mask)
-            degree = mask.bit_count()
-            if any(
-                row.bit_count() > degree and not _is_cut_vertex(child, u)
-                for u, row in enumerate(child.adj)
-            ):
-                continue
-            child = _canonical_labeling(child)[0]
+        gens = _canonical_labeling(parent, generators=True)[1]
+        for mask in _orbit_representatives(_accepted_masks(parent), gens):
+            child = _canonical_labeling(_extend(parent, mask))[0]
             seen.setdefault(child._canon, child)
     return tuple(seen[cert] for cert in sorted(seen))
 

@@ -12,9 +12,9 @@ shrank to nothing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .graphs import Graph, NotLocatableError, VertexSet, is_locatable
+from .graphs import Graph, NotLocatableError, VertexSet, is_locatable, mask_of
 
 __all__ = [
     "ForcedClassification",
@@ -26,21 +26,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ForcedClassification:
-    """Partition of V into forced and unforced vertices, with witnesses.
+class ForcedClassification(NamedTuple):
+    """Partition of V into forced and unforced vertices.
 
     The two forced masks may overlap; unforced is their joint
-    complement.  domination_witness[v] is the least w whose whole
-    neighbourhood is {v}; location_witness[v] is the lexicographically
-    least pair (x, y), x < y, with N(x) xor N(y) = {v}.
+    complement.  The functions domination_forced and location_forced
+    give a witness for each forced vertex.
     """
 
     domination_forced: VertexSet
     location_forced: VertexSet
     unforced: VertexSet
-    domination_witness: dict[int, int] = field(compare=False)
-    location_witness: dict[int, tuple[int, int]] = field(compare=False)
 
     @property
     def forced(self) -> VertexSet:
@@ -72,16 +68,10 @@ def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
 
 def classify_forced(g: Graph) -> ForcedClassification:
     """Classify every vertex of g; masks cover V exactly once over."""
-    dom = domination_forced(g)
-    loc = location_forced(g)
-    dom_mask = 0
-    for v in dom:
-        dom_mask |= 1 << v
-    loc_mask = 0
-    for v in loc:
-        loc_mask |= 1 << v
+    dom_mask = mask_of(domination_forced(g))
+    loc_mask = mask_of(location_forced(g))
     unforced = (1 << g.n) - 1 & ~(dom_mask | loc_mask)
-    return ForcedClassification(dom_mask, loc_mask, unforced, dom, loc)
+    return ForcedClassification(dom_mask, loc_mask, unforced)
 
 
 def removable_vertex(g: Graph) -> int | None:

@@ -242,13 +242,16 @@ def is_connected(g: Graph) -> bool:
     return _closure(g, 1) == (1 << g.n) - 1
 
 
-def component_masks(g: Graph) -> list[VertexSet]:
-    """Vertex masks of the connected components, ordered by least vertex."""
+def component_masks(g: Graph, within: VertexSet = -1) -> list[VertexSet]:
+    """Vertex masks of the connected components, ordered by least vertex.
+
+    With within, the components of the subgraph that within induces.
+    """
     masks = []
-    remaining = (1 << g.n) - 1
+    remaining = (1 << g.n) - 1 & within
     while remaining:
         seed = remaining & -remaining
-        comp = _closure(g, seed)
+        comp = _closure(g, seed, within)
         masks.append(comp)
         remaining &= ~comp
     return masks
@@ -370,7 +373,8 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     closed twins never share a vertex), and the swaps of consecutive
     members of each class generate all of its swaps, so these and the
     tied leaves generate the whole automorphism group.  The enumeration
-    reads them to extend each parent once per orbit of neighbourhoods.
+    asks for them for its parents only, to extend each parent once per
+    orbit of neighbourhoods.
     """
     try:
         return g._canon
@@ -386,13 +390,17 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     return cert
 
 
-def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+def _canonical_labeling(
+    g: Graph, generators: bool = False
+) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     """g canonically relabeled, and generators of its automorphism group.
 
     The relabeled graph carries its certificate in the cache, so
     canonical_form on it does no second search.  A generator p maps
-    vertex i of the relabeled graph to p[i].  No order limit applies;
-    canonical_form holds that gate.
+    vertex i of the relabeled graph to p[i].  The generators are built
+    only when asked for; otherwise the search keeps no tied leaves and
+    the second entry is ().  Only the enumeration's parents need them.
+    No order limit applies; canonical_form holds that gate.
     """
     n = g.n
     adj = g.adj
@@ -420,7 +428,7 @@ def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
                 best = cols.copy()
                 best_perm = placed.copy()
                 version += 1
-            else:
+            elif generators:
                 # same matrix as best, so best_perm[i] -> placed[i] is an
                 # automorphism
                 image = [0] * n
@@ -469,6 +477,9 @@ def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
         for u in iter_bits(adj[v]):
             rows[slot] |= 1 << index[u]
     canon = tuple(rows)
+    labeled = _graph(n, canon, _g6_bytes(n, canon))
+    if not generators:
+        return labeled, ()
     gens = {tuple(index[image[v]] for v in best_perm) for image in tied}
     # each twin class's symmetric group, from the swaps of consecutive
     # members: u with the least twin above it
@@ -479,4 +490,4 @@ def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
             p = list(range(n))
             p[index[u]], p[index[v]] = index[v], index[u]
             gens.add(tuple(p))
-    return _graph(n, canon, _g6_bytes(n, canon)), tuple(sorted(gens))
+    return labeled, tuple(sorted(gens))

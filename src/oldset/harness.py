@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .domination import old_number
@@ -65,7 +64,6 @@ _PROBE_S = 0.05
 _POOL_PAYS_S = 0.5
 
 
-@dataclass
 class HarnessReport:
     """Everything one sweep established.
 
@@ -81,16 +79,17 @@ class HarnessReport:
     never canonicalised.
     """
 
-    n: int
-    graphs_scanned: int = 0
-    locatable_count: int = 0
-    extremal: list[str] = field(default_factory=list)
-    theorem_holds: bool = True
-    counterexamples: list[tuple[str, int, bool]] = field(default_factory=list)
-    bondy_violations: list[tuple[str, int]] = field(default_factory=list)
-    prop2_violations: list[tuple[str, int]] = field(default_factory=list)
-    record_errors: list[str] = field(default_factory=list)
-    timing: float = 0.0
+    def __init__(self, n: int, record_errors: Iterable[str] = ()):
+        self.n = n
+        self.graphs_scanned = 0
+        self.locatable_count = 0
+        self.extremal: list[str] = []
+        self.theorem_holds = True
+        self.counterexamples: list[tuple[str, int, bool]] = []
+        self.bondy_violations: list[tuple[str, int]] = []
+        self.prop2_violations: list[tuple[str, int]] = []
+        self.record_errors = list(record_errors)
+        self.timing = 0.0
 
     @property
     def violations(self) -> int:
@@ -244,7 +243,7 @@ def run_harness(
     else:
         rows = _probe_then_pool(batch, workers)
 
-    report = HarnessReport(n=n, record_errors=list(record_errors))
+    report = HarnessReport(n, record_errors)
     report.graphs_scanned = len(rows)
     report.locatable_count = sum(row.locatable for row in rows)
     # pool.map keeps rows in batch order, so the stable sort below puts

@@ -262,12 +262,12 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert code == 1
 
 
-def _python_m_oldset(*argv, **kwargs):
+def _python(*argv, **kwargs):
     # the child imports the same oldset as this process, installed or not
     src = os.path.dirname(os.path.dirname(oldset.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "oldset", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -276,13 +276,31 @@ def _python_m_oldset(*argv, **kwargs):
 
 
 def test_entry_point_via_interpreter():
-    done = _python_m_oldset("gen", "--k", "2")
+    done = _python("-m", "oldset", "gen", "--k", "2")
     assert done.returncode == 0
     assert done.stdout.strip() == to_graph6(half_graph(2))
 
 
 def test_stdin_round_trip_via_interpreter():
     record = to_graph6(half_graph(3))
-    done = _python_m_oldset("solve", "--format", "structured", input=record + "\n")
+    done = _python(
+        "-m", "oldset", "solve", "--format", "structured", input=record + "\n"
+    )
     assert done.returncode == 0
     assert json.loads(done.stdout)["gamma"] == 6
+
+
+def test_cli_import_leaves_slow_modules_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and the pool
+    # module is imported only by a sweep that forks; a cold start pays
+    # for neither
+    probe = (
+        "import sys; before = set(sys.modules); import oldset.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "oldset.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert "concurrent.futures" not in loaded

@@ -19,11 +19,12 @@ from oldset import (
 )
 import oldset.enumeration
 from oldset.enumeration import (
+    _accepted_masks,
     _connected_classes,
-    _is_cut_vertex,
+    _extend,
     _orbit_representatives,
 )
-from oldset.graphs import _canonical_labeling
+from oldset.graphs import _canonical_labeling, component_masks
 
 # connected classes per order; 1..6 re-derived by the Burnside oracle
 # below, 7 and 8 from the standard enumeration tables
@@ -217,7 +218,7 @@ def test_labeling_generators_are_automorphisms():
     graphs = list(_scrambled_small_graphs())
     graphs += _all_small_classes(7)
     for g in graphs:
-        canon, gens = _canonical_labeling(g)
+        canon, gens = _canonical_labeling(g, generators=True)
         for perm in gens:
             assert sorted(perm) == list(range(g.n))
             assert _is_automorphism(canon, perm)
@@ -225,7 +226,7 @@ def test_labeling_generators_are_automorphisms():
 
 def test_mask_orbits_match_brute_force_automorphisms():
     for g in _scrambled_small_graphs():
-        canon, gens = _canonical_labeling(g)
+        canon, gens = _canonical_labeling(g, generators=True)
         n = canon.n
         group = [p for p in permutations(range(n)) if _is_automorphism(canon, p)]
         orbits = {frozenset(_image(m, p) for p in group) for m in range(1 << n)}
@@ -242,7 +243,7 @@ def test_twin_classes_give_one_generator_per_consecutive_pair():
     for n in range(2, 11):
         complete = from_edges(n, combinations(range(n), 2))
         for g in (complete, Graph(n, [0] * n)):
-            assert len(_canonical_labeling(g)[1]) == n - 1
+            assert len(_canonical_labeling(g, generators=True)[1]) == n - 1
 
 
 def test_classes_through_order_8_are_pinned():
@@ -257,31 +258,83 @@ def test_classes_through_order_8_are_pinned():
     )
 
 
-def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
-    # labeling every orbit representative child would take 4,303
-    calls = []
+def test_labeling_without_generators_gives_the_same_graph():
+    for g in _scrambled_small_graphs():
+        canon, gens = _canonical_labeling(g)
+        assert gens == ()
+        labeled = _canonical_labeling(g, generators=True)[0]
+        assert canon.adj == labeled.adj and canon._canon == labeled._canon
 
-    def counted(g):
-        calls.append(g.n)
-        return _canonical_labeling(g)
+
+def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
+    # building and labeling every orbit representative child would take
+    # 4,159 builds and 4,303 labelings, and the degree-only filter on
+    # built children labeled 1,468, each building generators
+    built = []
+    labeled = []
+
+    def counted_extend(parent, mask):
+        built.append(mask)
+        return _extend(parent, mask)
+
+    def counted_labeling(g, generators=False):
+        labeled.append(generators)
+        return _canonical_labeling(g, generators)
 
     _connected_classes.cache_clear()
-    monkeypatch.setattr(oldset.enumeration, "_canonical_labeling", counted)
+    monkeypatch.setattr(oldset.enumeration, "_extend", counted_extend)
+    monkeypatch.setattr(oldset.enumeration, "_canonical_labeling", counted_labeling)
     try:
         assert len(list(enumerate_connected_graphs(7))) == 853
     finally:
         _connected_classes.cache_clear()
-    assert len(calls) == 1468
+    assert len(built) == 1049
+    assert len(labeled) == 1193
+    # the parents of orders 1..6
+    assert labeled.count(True) == 143
+
+
+def test_parent_side_filter_matches_the_rule_on_built_children():
+    # the rule evaluated on each child: reject when some non-cut vertex
+    # beats the new vertex on (degree, neighbour-degree sum)
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for m in range(1, 7):
+        for parent in enumerate_connected_graphs(m):
+            accepted = set(_accepted_masks(parent))
+            for mask in range(1, 1 << m):
+                # connected of order >= 2, so its edges name every vertex
+                h = nx.Graph(_extend(parent, mask).edges())
+                cut = set(nx.articulation_points(h))
+
+                def rank(v):
+                    return h.degree(v), sum(h.degree(w) for w in h[v])
+
+                passes = all(rank(u) <= rank(m) for u in h if u not in cut)
+                assert (mask in accepted) == passes
+                checked += 1
+    # every nonempty mask of every parent of order 1..6
+    assert checked == sum(CONNECTED_COUNTS[m] * ((1 << m) - 1) for m in range(1, 7))
 
 
 def test_cut_vertices_match_networkx_articulation_points():
+    # the filter's cut test reads the components of g - u
     nx = pytest.importorskip("networkx")
     checked = 0
     for h in nx.graph_atlas_g():
         if len(h) == 0 or not nx.is_connected(h):
             continue
         g = Graph(len(h), [sum(1 << u for u in h[v]) for v in range(len(h))])
-        cut = {u for u in range(g.n) if _is_cut_vertex(g, u)}
+        full = (1 << g.n) - 1
+        cut = set()
+        for u in range(g.n):
+            parts = component_masks(g, full ^ 1 << u)
+            rest = h.subgraph(set(h) - {u})
+            assert sorted(parts) == sorted(
+                sum(1 << v for v in c) for c in nx.connected_components(rest)
+            )
+            if len(parts) > 1:
+                cut.add(u)
         assert cut == set(nx.articulation_points(h))
         checked += 1
     # connected graphs of order 1..7

@@ -100,8 +100,8 @@ def test_classify_forced_p5_fixed_by_scan():
     assert parts.domination_forced == mask_of([1, 3])
     assert parts.location_forced == mask_of([1, 3])
     assert parts.unforced == mask_of([0, 2, 4])
-    assert parts.domination_witness == {1: 0, 3: 4}
-    assert parts.location_witness == {3: (0, 2), 1: (2, 4)}
+    assert domination_forced(_path(5)) == {1: 0, 3: 4}
+    assert location_forced(_path(5)) == {3: (0, 2), 1: (2, 4)}
 
 
 def test_removable_vertex():
@@ -160,4 +160,4 @@ def test_both_forced_kinds_may_overlap():
     parts = classify_forced(_path(5))
     assert parts.domination_forced & parts.location_forced == mask_of([1, 3])
     for v in iter_bits(parts.domination_forced & parts.location_forced):
-        assert v in parts.domination_witness and v in parts.location_witness
+        assert v in domination_forced(_path(5)) and v in location_forced(_path(5))

@@ -116,12 +116,12 @@ def test_a_wrong_half_graph_test_shows_as_counterexamples(monkeypatch):
 
 
 def _nothing_forced(g):
-    return ForcedClassification(0, 0, (1 << g.n) - 1, {}, {})
+    return ForcedClassification(0, 0, (1 << g.n) - 1)
 
 
 def _everything_forced(g):
     full = (1 << g.n) - 1
-    return ForcedClassification(full, full, 0, {}, {})
+    return ForcedClassification(full, full, 0)
 
 
 def test_a_wrong_certificate_fails_the_sweep(monkeypatch, capsys):
