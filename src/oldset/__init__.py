@@ -21,7 +21,6 @@ from .forced import (
     classify_forced,
     domination_forced,
     location_forced,
-    removable_vertex,
 )
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
 from .graphs import (
@@ -68,7 +67,6 @@ __all__ = [
     "classify_forced",
     "domination_forced",
     "location_forced",
-    "removable_vertex",
     "GraphFormatError",
     "parse_graph6",
     "to_graph6",

@@ -2,21 +2,24 @@
 
 S is an OLD set when every vertex sees S (total domination) and no two
 vertices see the same part of S (location): the traces N(v) & S must be
-nonempty and pairwise distinct.  gamma_OL is the least |S|.  Only
-locatable graphs (no isolated vertices, no open twins) admit any OLD
-set, and for those V itself always works.
+nonempty and pairwise distinct.  Equivalently, S meets every member of
+the family E(G) of all N(v) and all N(x) xor N(y), x < y.  gamma_OL is
+the least |S|.  Only locatable graphs (no isolated vertices, no open
+twins) admit any OLD set, and for those V itself always works.
 
 Both solvers return the same gamma and the same witness: the OLD set of
 minimum size whose mask is numerically least.  The brute-force solver
 guarantees this by scanning each cardinality in ascending mask order.
 The branch-and-bound solver settles it in its one search.  Its
-incumbent is the least OLD set seen so far, by size and then by mask,
-and a node whose chosen set is as large as the incumbent is a leaf: the
-set is tested if its mask is smaller and cut otherwise.  This tie rule
-is sound because no node on the path to the least optimum W is cut.
-There the chosen set lies inside W, so it ties the incumbent only by
-being W, and chosen plus undecided contains W, so the feasibility cut
-never fires (supersets of OLD sets are OLD sets).
+incumbent is the least OLD set seen so far, by size and then by mask.
+The children of a node split the sets below it by the least allowed
+vertex they take from the branched member, so every set below a node
+lies below exactly one child.  A node is cut when its chosen size plus
+its packing bound exceeds the incumbent's size, or equals it while the
+chosen mask is at least the incumbent's.  This tie rule is sound: while
+a member is unmet, every set below the node strictly contains the
+chosen set, so its mask is larger, and with none unmet the chosen set
+is the only one below.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .graphs import (
     is_locatable,
     is_old_set,
     iter_bits,
+    vertices_of,
 )
 
 __all__ = [
@@ -96,15 +100,17 @@ def old_number_bruteforce(g: Graph) -> SolveResult:
 
 
 def old_number(g: Graph) -> SolveResult:
-    """gamma_OL by branch and bound over the non-forced vertices.
+    """gamma_OL as the least set meeting every member of E(G).
 
-    Forced vertices are committed up front and the incumbent starts at
-    the whole vertex set.  Branching follows a static order, most
-    separating vertex first.  A node is a leaf when its chosen set is
-    OLD, is at least as large as the incumbent, or when even the chosen
-    set plus all undecided vertices fails domination or location.  When
-    every vertex is forced the root is immediately optimal (one node
-    explored).
+    E(G) holds every N(v) and every N(x) xor N(y), x < y.  Forced
+    vertices are committed up front and the incumbent starts at the
+    whole vertex set.  The search keeps the inclusion-minimal members
+    the chosen set does not meet yet and branches on the one with the
+    fewest allowed vertices u_1 < ... < u_k, ties to the largest mask,
+    in disjoint children: take u_1; or ban u_1 and take u_2; and so on.
+    A greedy packing of pairwise disjoint unmet members bounds how many
+    vertices are still to come.  When every vertex is forced the root
+    is immediately optimal (one node explored).
     """
     _require_locatable(g)
     n = g.n
@@ -113,44 +119,52 @@ def old_number(g: Graph) -> SolveResult:
     adj = g.adj
     forced = classify_forced(g).forced
 
-    # how many separating pairs each vertex settles, for the branch order
-    weight = [0] * n
-    for x in range(n):
-        for y in range(x + 1, n):
-            for v in iter_bits(adj[x] ^ adj[y]):
-                weight[v] += 1
-    order = sorted(
-        (v for v in range(n) if not forced >> v & 1),
-        key=lambda v: (-weight[v], v),
+    # x and y with no common neighbour differ by a superset of N(x)
+    members = set(adj)
+    members.update(
+        adj[x] ^ adj[y]
+        for x in range(n)
+        for y in range(x + 1, n)
+        if adj[x] & adj[y]
     )
-    # undecided[i] = free vertices still open at depth i
-    undecided = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        undecided[i] = undecided[i + 1] | 1 << order[i]
+    # a subset of e has its least vertex in e, so only those buckets
+    # can hold one, and ascending size puts every subset before e
+    by_least: list[list[VertexSet]] = [[] for _ in range(n)]
+    minimal = []
+    for e in sorted(members, key=lambda e: (e.bit_count(), e)):
+        if e & forced or any(
+            f & e == f for v in iter_bits(e) for f in by_least[v]
+        ):
+            continue
+        by_least[(e & -e).bit_length() - 1].append(e)
+        minimal.append(e)
 
     best = (1 << n) - 1
     best_size = n
     nodes = 0
-
-    def descend(chosen: VertexSet, depth: int) -> None:
-        nonlocal best, best_size, nodes
+    # a node is its chosen set, the vertices it bans on top of its
+    # parent's, and the parent's unmet members cut to what it allows
+    stack = [(forced, 0, minimal)]
+    while stack:
+        chosen, ban, unmet = stack.pop()
         nodes += 1
-        size = chosen.bit_count()
-        if size > best_size or size == best_size and chosen >= best:
-            return
-        if is_old_set(g, chosen):
-            best, best_size = chosen, size
-            return
-        if (
-            size == best_size
-            or depth == len(order)
-            or not is_old_set(g, chosen | undecided[depth])
-        ):
-            return
-        v = order[depth]
-        descend(chosen | 1 << v, depth + 1)
-        descend(chosen, depth + 1)
-
-    descend(forced, 0)
+        unmet = [f & ~ban for f in unmet if not f & chosen]
+        if 0 in unmet:  # a member with every vertex banned
+            continue
+        bound = 0
+        packed = 0
+        for f in unmet:
+            if not f & packed:
+                packed |= f
+                bound += 1
+        lower = chosen.bit_count() + bound
+        if lower > best_size or lower == best_size and chosen >= best:
+            continue
+        if not unmet:
+            best, best_size = chosen, lower
+            continue
+        e = max(unmet, key=lambda f: (-f.bit_count(), f))
+        for u in reversed(vertices_of(e)):
+            bit = 1 << u
+            stack.append((chosen | bit, e & bit - 1, unmet))
     return SolveResult(best_size, best, nodes, BRANCH_AND_BOUND)
-

@@ -21,7 +21,6 @@ __all__ = [
     "domination_forced",
     "location_forced",
     "classify_forced",
-    "removable_vertex",
     "bondy_check",
 ]
 
@@ -72,21 +71,6 @@ def classify_forced(g: Graph) -> ForcedClassification:
     loc_mask = mask_of(location_forced(g))
     unforced = (1 << g.n) - 1 & ~(dom_mask | loc_mask)
     return ForcedClassification(dom_mask, loc_mask, unforced)
-
-
-def removable_vertex(g: Graph) -> int | None:
-    """Least unforced vertex, or None when every vertex is forced.
-
-    Removing the returned vertex leaves an OLD set: V - {v} keeps every
-    neighbourhood trace nonempty and every pair of traces distinct, by
-    the exhaustiveness argument in the module docstring.
-    """
-    if not is_locatable(g):
-        raise NotLocatableError(g)
-    unforced = classify_forced(g).unforced
-    if unforced == 0:
-        return None
-    return (unforced & -unforced).bit_length() - 1
 
 
 def bondy_check(g: Graph) -> int:

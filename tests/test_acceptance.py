@@ -8,6 +8,7 @@ test allows itself.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from functools import lru_cache
@@ -30,6 +31,7 @@ from oldset import (
     peel,
     run_harness,
     to_graph6,
+    vertices_of,
 )
 
 _EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected"
@@ -164,3 +166,18 @@ def test_10_codec_round_trips_the_whole_corpus_byte_exact():
             back = parse_graph6(line)
             assert back == g
             assert to_graph6(back) == line
+
+
+def test_11_stored_solve_answers_hold_through_order_32():
+    # the least witness beyond brute-force reach, as bench/expected records it
+    expected = json.loads((_EXPECTED / "solve.json").read_text(encoding="ascii"))
+    assert len(expected) == 109
+    for record, want in expected.items():
+        g = parse_graph6(record)
+        result = old_number(g)
+        parts = classify_forced(g)
+        assert result.gamma == want["gamma"], record
+        assert vertices_of(result.witness) == want["witness"], record
+        assert vertices_of(parts.domination_forced) == want["domination_forced"]
+        assert vertices_of(parts.location_forced) == want["location_forced"]
+        assert vertices_of(parts.unforced) == want["unforced"]

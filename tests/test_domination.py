@@ -137,11 +137,12 @@ def test_branch_and_bound_all_forced_fast_path():
 @pytest.mark.parametrize(
     "record, gamma, witness, nodes",
     [
-        ("DhC", 4, [0, 1, 2, 3], 11),  # P_5
-        ("KhCGGC@?G?o@", 8, [0, 1, 2, 3, 6, 7, 8, 9], 409),  # C_12
-        ("IheA@GUAo", 5, [0, 1, 2, 3, 4], 421),  # Petersen graph
-        # the search meets {0, 2, 3, 4} first; the tie rule must replace it
-        ("DBg", 4, [0, 1, 3, 4], 11),
+        pytest.param("DhC", 4, [0, 1, 2, 3], 5, id="P5"),
+        pytest.param("KhCGGC@?G?o@", 8, [0, 1, 2, 3, 6, 7, 8, 9], 37, id="C12"),
+        pytest.param("IheA@GUAo", 5, [0, 1, 2, 3, 4], 44, id="Petersen"),
+        pytest.param("DBg", 4, [0, 1, 3, 4], 5, id="DBg"),
+        # the search meets {3, 4, 5} first; the tie rule must replace it
+        pytest.param("E`]w", 3, [2, 4, 5], 19, id="tie"),
     ],
 )
 def test_branch_and_bound_search_tree_is_pinned(record, gamma, witness, nodes):

@@ -18,7 +18,6 @@ from oldset import (
     location_forced,
     mask_of,
     open_neighbourhood,
-    removable_vertex,
 )
 
 
@@ -105,14 +104,11 @@ def test_classify_forced_p5_fixed_by_scan():
 
 
 def test_removable_vertex():
-    assert removable_vertex(half_graph(4)) is None
-    assert removable_vertex(_k(3)) == 0  # all unforced, least index
-    try:
-        removable_vertex(from_edges(1, []))
-    except NotLocatableError:
-        pass
-    else:
-        raise AssertionError("non-locatable accepted")
+    # no vertex of H_k can be dropped, and every vertex of K_n can
+    for k in range(1, 7):
+        assert classify_forced(half_graph(k)).unforced == 0
+    for n in range(3, 7):
+        assert classify_forced(_k(n)).unforced == (1 << n) - 1
 
 
 def test_removable_vertex_leaves_old_set():
@@ -123,8 +119,7 @@ def test_removable_vertex_leaves_old_set():
         if not is_locatable(g):
             continue
         seen += 1
-        v = removable_vertex(g)
-        if v is not None:
+        for v in iter_bits(classify_forced(g).unforced):
             assert is_old_set(g, (1 << g.n) - 1 & ~(1 << v))
 
 
