@@ -8,24 +8,21 @@ characterisation gamma_OL(G) = n iff G is a half-graph.
 from .domination import (
     BRANCH_AND_BOUND,
     BRUTEFORCE,
-    NotLocatableError,
-    SolveResult,
-    is_old_set,
-    old_number,
-    old_number_bruteforce,
-)
-from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
-from .forced import (
     ForcedClassification,
+    SolveResult,
     bondy_check,
     classify_forced,
     domination_forced,
     location_forced,
+    old_number,
+    old_number_bruteforce,
 )
+from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
 from .graphs import (
     CANONICAL_ORDER_LIMIT,
     Graph,
+    NotLocatableError,
     VertexSet,
     canonical_form,
     connected_components,
@@ -34,6 +31,7 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     is_locatable,
+    is_old_set,
     iter_bits,
     mask_of,
     open_neighbourhood,

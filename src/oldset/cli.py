@@ -3,10 +3,10 @@
 Four subcommands: solve computes gamma_OL and the forced partition of
 one or more graphs, gen emits a half-graph, recognize tests the
 half-graph structure, verify sweeps an order exhaustively (or a stream)
-through the theorem harness.  Graphs travel as graph6 records; a
-positional argument naming an existing file is read line by line, any
-other positional is taken as an inline record, and no positional at all
-means stdin.
+through the theorem harness.  Graphs travel as graph6 records.  A
+positional that parses as a record is that record; any other is read
+line by line as a file when one of that name exists (so ./A_ reads the
+file A_), else reported as a bad record.  None at all means stdin.
 
 Exit codes: 0 success (for verify: theorem holds, no violations),
 1 usage error, 2 unreadable input, 3 graph admits no OLD set,
@@ -26,11 +26,16 @@ import os
 import sys
 from typing import Iterable
 
-from .domination import NotLocatableError, old_number, old_number_bruteforce
+from .domination import classify_forced, old_number, old_number_bruteforce
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
-from .forced import classify_forced
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
-from .graphs import Graph, connected_components, is_connected, vertices_of
+from .graphs import (
+    Graph,
+    NotLocatableError,
+    connected_components,
+    is_connected,
+    vertices_of,
+)
 from .halfgraphs import half_graph, is_half_graph, is_union_of_half_graphs
 from .harness import run_harness
 
@@ -100,10 +105,13 @@ def _records(args_graphs: list[str]) -> list[str]:
         return [line for line in _read_lines(None) if line]
     records = []
     for item in args_graphs:
-        if os.path.exists(item):
-            records.extend(line for line in _read_lines(item) if line)
-        else:
-            records.append(item)
+        try:
+            parse_graph6(item)
+        except GraphFormatError:
+            if os.path.exists(item):
+                records.extend(line for line in _read_lines(item) if line)
+                continue
+        records.append(item)
     return records
 
 
@@ -254,6 +262,9 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATION
 
 
+_GRAPHS_HELP = "graph6 records, or files of them (./NAME if NAME is a record)"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oldset", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -261,7 +272,7 @@ def _build_parser() -> _Parser:
     solve = commands.add_parser(
         "solve", help="exact gamma_OL, witness, and forced partition"
     )
-    solve.add_argument("graphs", nargs="*", help="graph6 records, or files of them")
+    solve.add_argument("graphs", nargs="*", help=_GRAPHS_HELP)
     solve.add_argument(
         "--solver",
         choices=sorted(_SOLVERS),
@@ -280,9 +291,7 @@ def _build_parser() -> _Parser:
     recognize = commands.add_parser(
         "recognize", help="decide half-graph structure, with labeling"
     )
-    recognize.add_argument(
-        "graphs", nargs="*", help="graph6 records, or files of them"
-    )
+    recognize.add_argument("graphs", nargs="*", help=_GRAPHS_HELP)
     recognize.add_argument(
         "--format", choices=("text", "structured"), default="text"
     )

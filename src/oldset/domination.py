@@ -1,4 +1,4 @@
-"""Exact OLD numbers by exhaustive search and by branch and bound.
+"""Exact OLD numbers, and the vertices forced into every OLD set.
 
 S is an OLD set when every vertex sees S (total domination) and no two
 vertices see the same part of S (location): the traces N(v) & S must be
@@ -6,6 +6,12 @@ nonempty and pairwise distinct.  Equivalently, S meets every member of
 the family E(G) of all N(v) and all N(x) xor N(y), x < y.  gamma_OL is
 the least |S|.  Only locatable graphs (no isolated vertices, no open
 twins) admit any OLD set, and for those V itself always works.
+
+A vertex v is forced into every OLD set exactly when {v} is a member of
+E(G).  It is domination-forced when some N(w) = {v}, since only v can
+dominate w, and location-forced when some N(x) xor N(y) = {v}, since
+only v can tell x from y.  An unforced v is removable: no member of
+E(G) is {v}, so V - v still meets them all.
 
 Both solvers return the same gamma and the same witness: the OLD set of
 minimum size whose mask is numerically least.  The brute-force solver
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .forced import classify_forced
 from .graphs import (
     Graph,
     NotLocatableError,
@@ -34,17 +39,21 @@ from .graphs import (
     is_locatable,
     is_old_set,
     iter_bits,
+    mask_of,
     vertices_of,
 )
 
 __all__ = [
-    "NotLocatableError",
     "SolveResult",
-    "is_old_set",
     "old_number_bruteforce",
     "old_number",
     "BRUTEFORCE",
     "BRANCH_AND_BOUND",
+    "ForcedClassification",
+    "domination_forced",
+    "location_forced",
+    "classify_forced",
+    "bondy_check",
 ]
 
 BRUTEFORCE = "bruteforce"
@@ -68,6 +77,65 @@ class SolveResult(NamedTuple):
 def _require_locatable(g: Graph) -> None:
     if not is_locatable(g):
         raise NotLocatableError(g)
+
+
+class ForcedClassification(NamedTuple):
+    """Partition of V into forced and unforced vertices.
+
+    The two forced masks may overlap; unforced is their joint
+    complement.  The functions domination_forced and location_forced
+    give a witness for each forced vertex.
+    """
+
+    domination_forced: VertexSet
+    location_forced: VertexSet
+    unforced: VertexSet
+
+    @property
+    def forced(self) -> VertexSet:
+        return self.domination_forced | self.location_forced
+
+
+def domination_forced(g: Graph) -> dict[int, int]:
+    """Map each domination-forced vertex to its least witness w."""
+    witness: dict[int, int] = {}
+    for w in range(g.n):
+        row = g.adj[w]
+        if row and row & (row - 1) == 0:
+            v = row.bit_length() - 1
+            witness.setdefault(v, w)
+    return witness
+
+
+def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
+    """Map each location-forced vertex to its least witness pair (x, y)."""
+    witness: dict[int, tuple[int, int]] = {}
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            diff = g.adj[x] ^ g.adj[y]
+            if diff and diff & (diff - 1) == 0:
+                v = diff.bit_length() - 1
+                witness.setdefault(v, (x, y))
+    return witness
+
+
+def classify_forced(g: Graph) -> ForcedClassification:
+    """Classify every vertex of g; masks cover V exactly once over."""
+    dom_mask = mask_of(domination_forced(g))
+    loc_mask = mask_of(location_forced(g))
+    unforced = (1 << g.n) - 1 & ~(dom_mask | loc_mask)
+    return ForcedClassification(dom_mask, loc_mask, unforced)
+
+
+def bondy_check(g: Graph) -> int:
+    """Number of location-forced vertices; always at most max(n - 1, 0).
+
+    Bondy's theorem on induced subsets bounds the distinct-singleton
+    symmetric differences a family of n sets can realise, so n vertices
+    can never all be location-forced.
+    """
+    _require_locatable(g)
+    return len(location_forced(g))
 
 
 def _next_same_popcount(s: int) -> int:
@@ -102,12 +170,13 @@ def old_number_bruteforce(g: Graph) -> SolveResult:
 def old_number(g: Graph) -> SolveResult:
     """gamma_OL as the least set meeting every member of E(G).
 
-    E(G) holds every N(v) and every N(x) xor N(y), x < y.  Forced
-    vertices are committed up front and the incumbent starts at the
-    whole vertex set.  The search keeps the inclusion-minimal members
-    the chosen set does not meet yet and branches on the one with the
-    fewest allowed vertices u_1 < ... < u_k, ties to the largest mask,
-    in disjoint children: take u_1; or ban u_1 and take u_2; and so on.
+    E(G) holds every N(v) and every N(x) xor N(y), x < y.  Its
+    singleton members name the forced vertices, which are committed up
+    front, and the incumbent starts at the whole vertex set.  The
+    search keeps the inclusion-minimal members the chosen set does not
+    meet yet and branches on the one with the fewest allowed vertices
+    u_1 < ... < u_k, ties to the largest mask, in disjoint children:
+    take u_1; or ban u_1 and take u_2; and so on.
     A greedy packing of pairwise disjoint unmet members bounds how many
     vertices are still to come.  When every vertex is forced the root
     is immediately optimal (one node explored).
@@ -117,9 +186,9 @@ def old_number(g: Graph) -> SolveResult:
     if n == 0:
         return SolveResult(0, 0, 0, BRANCH_AND_BOUND)
     adj = g.adj
-    forced = classify_forced(g).forced
 
-    # x and y with no common neighbour differ by a superset of N(x)
+    # x and y with no common neighbour differ by N(x) | N(y), a superset
+    # of N(x) and never a singleton, which would leave x or y isolated
     members = set(adj)
     members.update(
         adj[x] ^ adj[y]
@@ -128,10 +197,15 @@ def old_number(g: Graph) -> SolveResult:
         if adj[x] & adj[y]
     )
     # a subset of e has its least vertex in e, so only those buckets
-    # can hold one, and ascending size puts every subset before e
+    # can hold one, and ascending size puts every subset before e; the
+    # singletons come first, so forced is whole before any other member
+    forced = 0
     by_least: list[list[VertexSet]] = [[] for _ in range(n)]
     minimal = []
     for e in sorted(members, key=lambda e: (e.bit_count(), e)):
+        if e & (e - 1) == 0:  # {v}: v is forced
+            forced |= e
+            continue
         if e & forced or any(
             f & e == f for v in iter_bits(e) for f in by_least[v]
         ):

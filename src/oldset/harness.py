@@ -42,8 +42,7 @@ import os
 import time
 from typing import Iterable, NamedTuple, Sequence
 
-from .domination import old_number
-from .forced import classify_forced
+from .domination import classify_forced, old_number
 from .graph6 import to_graph6
 from .graphs import (
     CANONICAL_ORDER_LIMIT,

@@ -89,6 +89,25 @@ def test_solve_reads_files(tmp_path, capsys):
     assert "gamma_OL=2" in out and "gamma_OL=4" in out
 
 
+@pytest.mark.parametrize(
+    "positional, first_line",
+    [
+        # a positional that parses is that record, even next to a file
+        pytest.param("A_", "A_: n=2, gamma_OL=2", id="record"),
+        # only one that does not parse is opened as a file
+        pytest.param("./A_", "CU: n=4, gamma_OL=4", id="file"),
+    ],
+)
+def test_a_positional_names_a_file_only_when_it_is_no_record(
+    tmp_path, monkeypatch, capsys, positional, first_line
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A_").write_text("CU\n")  # H_2
+    code, out, _ = _run(capsys, "solve", positional)
+    assert code == 0
+    assert out.startswith(first_line)
+
+
 def test_solve_solver_choice_agrees(capsys):
     record = to_graph6(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
     _, fast, _ = _run(capsys, "solve", "--format", "structured", record)
@@ -295,8 +314,8 @@ def test_cli_import_leaves_slow_modules_unloaded():
     # module is imported only by a sweep that forks; a cold start pays
     # for neither
     probe = (
-        "import sys; before = set(sys.modules); import oldset.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        "import sys; before = set(sys.modules); import oldset; "
+        "import oldset.cli; print(' '.join(sorted(set(sys.modules) - before)))"
     )
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
@@ -304,3 +323,11 @@ def test_cli_import_leaves_slow_modules_unloaded():
     assert "oldset.cli" in loaded
     assert "dataclasses" not in loaded
     assert "concurrent.futures" not in loaded
+    # the package is stdlib-only; CI installs test-only third-party
+    # packages, so an import of one from src/ would otherwise pass
+    third_party = [
+        name
+        for name in loaded
+        if name.split(".")[0] not in sys.stdlib_module_names | {"oldset"}
+    ]
+    assert third_party == []

@@ -9,6 +9,7 @@ import pytest
 from oldset import (
     BRANCH_AND_BOUND,
     BRUTEFORCE,
+    ForcedClassification,
     Graph,
     NotLocatableError,
     classify_forced,
@@ -127,9 +128,14 @@ def test_bruteforce_witness_is_least_mask():
         assert res.witness == min(best)
 
 
-def test_branch_and_bound_all_forced_fast_path():
-    res = old_number(half_graph(5))
-    assert res.gamma == 10
+@pytest.mark.parametrize(
+    "g",
+    [pytest.param(half_graph(k), id=f"H{k}") for k in range(1, 9)]
+    + [pytest.param(disjoint_union(half_graph(2), half_graph(3)), id="H2+H3")],
+)
+def test_branch_and_bound_all_forced_fast_path(g):
+    res = old_number(g)
+    assert res.gamma == g.n
     assert res.nodes_explored == 1
     assert res.method == BRANCH_AND_BOUND
 
@@ -150,6 +156,21 @@ def test_branch_and_bound_search_tree_is_pinned(record, gamma, witness, nodes):
     assert res.gamma == gamma
     assert res.witness == mask_of(witness)
     assert res.nodes_explored == nodes
+
+
+def test_branch_and_bound_reads_forced_vertices_from_its_own_members(
+    monkeypatch,
+):
+    # a classification that calls every vertex forced would make the
+    # root the answer; the solver must not consult it
+    def all_forced(g):
+        return ForcedClassification((1 << g.n) - 1, 0, 0)
+
+    monkeypatch.setattr("oldset.domination.classify_forced", all_forced)
+    res = old_number(parse_graph6("DhC"))
+    assert res.gamma == 4
+    assert res.witness == mask_of([0, 1, 2, 3])
+    assert res.nodes_explored == 5
 
 
 def test_branch_and_bound_matches_bruteforce_small():

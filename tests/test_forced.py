@@ -72,6 +72,10 @@ def test_witnesses_re_verify():
         for v, (x, y) in location_forced(g).items():
             assert x < y
             assert g.adj[x] ^ g.adj[y] == 1 << v
+            # old_number builds N(x) xor N(y) only for pairs with a
+            # common neighbour, and must still see every forced vertex
+            if is_locatable(g):
+                assert g.adj[x] & g.adj[y]
 
 
 def test_classify_forced_partitions_vertex_set():
