@@ -30,6 +30,7 @@ from .domination import classify_forced, old_number, old_number_bruteforce
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
 from .graphs import (
+    CANONICAL_ORDER_LIMIT,
     Graph,
     NotLocatableError,
     connected_components,
@@ -304,7 +305,10 @@ def _build_parser() -> _Parser:
         "--n", type=_positive, help="sweep all connected graphs of this order"
     )
     verify.add_argument(
-        "--stream", help="file of graph6 records to sweep instead ('-' for stdin)"
+        "--stream",
+        help="file of graph6 records to sweep instead ('-' for stdin); a "
+        f"report names a graph of order above {CANONICAL_ORDER_LIMIT} by its "
+        "input graph6, not a canonical form",
     )
     verify.add_argument(
         "--format", choices=("text", "structured"), default="text"

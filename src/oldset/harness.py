@@ -16,6 +16,16 @@ removal witness, or a union of half-graphs), and such a graph is a
 counterexample unless the certificate, gamma = n and the half-graph
 test all agree: a wrong solver or forced-vertex analysis still fails.
 
+Removability is decided for every unforced vertex in one pass over the
+rows, not by one OLD-set test per vertex.  V is an OLD set, so dropping
+v breaks it exactly when some row N(w) through v is {v} or differs from
+another row in v alone.  The pass reads only g's rows and the unforced
+mask it is asked about; it shares no code with classify_forced, whose
+location-forced vertices come from a scan of row pairs.  So a wrong
+classification still shows: a forced vertex called unforced is flagged,
+and a removable vertex called forced hides a witness, which the exact
+solve then contradicts.
+
 Reports are deterministic: findings are keyed and sorted by canonical
 certificate, so any relabeling or reordering of the input stream, and
 any worker count, produces the identical report.  Only the graphs the
@@ -49,7 +59,6 @@ from .graphs import (
     Graph,
     canonical_form,
     is_locatable,
-    is_old_set,
     iter_bits,
 )
 from .halfgraphs import is_union_of_half_graphs
@@ -166,16 +175,38 @@ def _cert(g: Graph) -> str:
     return to_graph6(g)
 
 
+def _unremovable(g: Graph, candidates: int) -> int:
+    """The vertices v of candidates for which V - v is not an OLD set.
+
+    Only for a locatable g, where V itself is an OLD set: its traces
+    are the rows N(w), all nonzero and all distinct.  Dropping v changes
+    only the rows through v, each to N(w) - v, and leaves every other
+    row as it was.  So V - v fails exactly when such a row becomes empty
+    (N(w) = {v}) or equal to another row (N(w) ^ {v} is a row; that row
+    misses v, so it is unchanged).  One pass over the rows decides this
+    for every candidate at once.  It reads only g's rows, never the
+    forced-vertex analysis whose candidates it checks.
+    """
+    rows = set(g.adj)
+    bad = 0
+    for row in g.adj:
+        through = row & candidates
+        while through:
+            bit = through & -through
+            if row == bit or row ^ bit in rows:
+                bad |= bit
+            through ^= bit
+    return bad
+
+
 def _examine(g: Graph) -> _Row:
     if not is_locatable(g):
         return _Row(g.n, False, False, None, False, 0, ())
     parts = classify_forced(g)
-    full = (1 << g.n) - 1
-    prop2_bad = tuple(
-        v for v in iter_bits(parts.unforced) if not is_old_set(g, full & ~(1 << v))
-    )
-    # every unforced vertex that passes is a removal witness
-    extremal = len(prop2_bad) == parts.unforced.bit_count()
+    bad = _unremovable(g, parts.unforced)
+    prop2_bad = tuple(iter_bits(bad))
+    # every unforced vertex outside bad is a removal witness
+    extremal = bad == parts.unforced
     # on the connected streams the harness is specified for this is
     # exactly the half-graph test; it extends to disconnected input
     # through the additivity of gamma_OL over components

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import oldset.domination
 import oldset.graphs
 import oldset.harness
 from oldset import (
@@ -25,6 +26,7 @@ from oldset import (
     induced_subgraph,
     is_connected,
     is_locatable,
+    is_old_set,
     old_number,
     parse_graph6,
     run_harness,
@@ -77,6 +79,41 @@ def test_removability_examples():
     assert report.prop2_violations == []
     report = run_harness([half_graph(3)], 6)  # vacuous: all forced
     assert report.prop2_violations == []
+
+
+def test_the_removability_pass_agrees_with_the_old_set_test():
+    # asked about every vertex, the pass flags exactly the ones that
+    # is_old_set finds unremovable, and those are the forced vertices
+    checked = 0
+    for n in range(1, 9):
+        for g in enumerate_connected_graphs(n):
+            if not is_locatable(g):
+                continue
+            full = (1 << g.n) - 1
+            bad = oldset.harness._unremovable(g, full)
+            for v in range(g.n):
+                assert bool(bad >> v & 1) == (not is_old_set(g, full & ~(1 << v)))
+            assert bad == classify_forced(g).forced
+            checked += 1
+    assert checked == 1 + 1 + 3 + 11 + 61 + 507 + 7442  # locatable, n = 2..8
+
+
+def test_a_census_sweep_tests_each_graph_once_for_an_old_set(monkeypatch):
+    graphs = list(enumerate_connected_graphs(7))
+    calls = []
+
+    def counted(g, s):
+        calls.append(g)
+        return is_old_set(g, s)
+
+    # every module that holds the name, so a caller importing it directly
+    # is counted too
+    for module in (oldset.graphs, oldset.harness, oldset.domination):
+        if hasattr(module, "is_old_set"):
+            monkeypatch.setattr(module, "is_old_set", counted)
+    report = run_harness(graphs, 7)
+    assert report.locatable_count > 0
+    assert calls == graphs
 
 
 def _gamma_one_short(g):

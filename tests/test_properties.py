@@ -14,11 +14,13 @@ from oldset import (  # noqa: E402
     disjoint_union,
     from_edges,
     is_locatable,
+    is_old_set,
     old_number,
     old_number_bruteforce,
     parse_graph6,
     to_graph6,
 )
+from oldset.harness import _unremovable  # noqa: E402
 
 # bounded so the whole module adds a few seconds to the suite
 _FEW = settings(max_examples=60, deadline=None)
@@ -115,3 +117,13 @@ def test_branch_and_bound_equals_brute_force(g):
     fast, slow = old_number(g), old_number_bruteforce(g)
     assert fast.gamma == slow.gamma
     assert fast.witness == slow.witness
+
+
+@_FEW
+@given(st.one_of(locatable(12), st.builds(disjoint_union, locatable(6), locatable(6))))
+def test_the_removability_pass_equals_the_old_set_test(g):
+    full = (1 << g.n) - 1
+    bad = _unremovable(g, full)
+    for v in range(g.n):
+        assert bool(bad >> v & 1) == (not is_old_set(g, full & ~(1 << v)))
+    assert bad == classify_forced(g).forced
