@@ -25,7 +25,6 @@ __all__ = [
     "is_old_set",
     "is_locatable",
     "is_connected",
-    "component_masks",
     "connected_components",
     "induced_subgraph",
     "disjoint_union",

@@ -92,12 +92,15 @@ class HarnessReport:
         self.graphs_scanned = 0
         self.locatable_count = 0
         self.extremal: list[str] = []
-        self.theorem_holds = True
         self.counterexamples: list[tuple[str, int, bool]] = []
         self.bondy_violations: list[tuple[str, int]] = []
         self.prop2_violations: list[tuple[str, int]] = []
         self.record_errors = list(record_errors)
         self.timing = 0.0
+
+    @property
+    def theorem_holds(self) -> bool:
+        return not self.counterexamples
 
     @property
     def violations(self) -> int:
@@ -267,11 +270,7 @@ def run_harness(
         raise ValueError("jobs must be positive")
     started = time.perf_counter()
     batch = list(graphs)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1:
-        rows = [_examine(g) for g in batch]
-    else:
-        rows = _probe_then_pool(batch, workers)
+    rows = _probe_then_pool(batch, min(jobs, os.cpu_count() or 1))
 
     report = HarnessReport(n, record_errors)
     report.graphs_scanned = len(rows)
@@ -296,6 +295,5 @@ def run_harness(
         if row.bondy_bad:
             report.bondy_violations.append((cert, row.bondy_bad))
         report.prop2_violations.extend((cert, v) for v in row.prop2_bad)
-    report.theorem_holds = not report.counterexamples
     report.timing = time.perf_counter() - started
     return report

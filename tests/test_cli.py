@@ -1,4 +1,4 @@
-"""Command-line surface: subcommands, formats, exit codes."""
+"""Command-line surface: subcommands, formats, exit codes; the import surface."""
 
 from __future__ import annotations
 
@@ -331,3 +331,39 @@ def test_cli_import_leaves_slow_modules_unloaded():
         if name.split(".")[0] not in sys.stdlib_module_names | {"oldset"}
     ]
     assert third_party == []
+
+
+_PUBLIC_NAMES = [
+    "BRANCH_AND_BOUND", "BRUTEFORCE", "CANONICAL_ORDER_LIMIT",
+    "ForcedClassification", "Graph", "GraphFormatError", "HalfGraphLabeling",
+    "HarnessReport", "MAX_BUILTIN_ORDER", "NotLocatableError", "PeelStep",
+    "SolveResult", "VertexSet", "__version__", "bondy_check", "canonical_form",
+    "classify_forced", "connected_components", "disjoint_union",
+    "domination_forced", "enumerate_connected_graphs", "from_edges",
+    "half_graph", "induced_subgraph", "is_connected", "is_half_graph",
+    "is_locatable", "is_old_set", "is_union_of_half_graphs", "iter_bits",
+    "location_forced", "mask_of", "old_number", "old_number_bruteforce",
+    "open_neighbourhood", "open_twins", "parse_graph6", "peel", "run_harness",
+    "to_graph6", "vertices_of",
+]
+
+
+def test_package_reexports_each_module_all_once():
+    from oldset import domination, enumeration, graph6, graphs, halfgraphs, harness
+
+    # a name listed twice would make this 42 entries
+    assert sorted(oldset.__all__) == _PUBLIC_NAMES
+    modules = [domination, enumeration, graph6, graphs, halfgraphs, harness]
+    for name in oldset.__all__:
+        if name == "__version__":
+            continue
+        owners = [module for module in modules if name in module.__all__]
+        assert len(owners) == 1, name
+        assert getattr(oldset, name) is getattr(owners[0], name)
+
+
+def test_component_masks_stays_internal_to_the_package_surface():
+    from oldset.graphs import component_masks
+
+    assert callable(component_masks)
+    assert "component_masks" not in oldset.__all__

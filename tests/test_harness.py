@@ -514,7 +514,6 @@ def test_rendering_of_a_synthetic_failure():
     # plumbing directly
     report = HarnessReport(n=4)
     report.counterexamples.append(("CL", 3, True))
-    report.theorem_holds = False
     text = report.to_text()
     assert "theorem holds: NO" in text
     assert "counterexample CL" in text
