@@ -21,6 +21,7 @@ OLD set; verify --stream lists such records in its report.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .graphs import (
     vertices_of,
 )
 from .halfgraphs import half_graph, is_half_graph, is_union_of_half_graphs
-from .harness import run_harness
+from .harness import _CHUNK, run_harness
 
 __all__ = ["main", "run"]
 
@@ -90,7 +91,9 @@ def _read_lines(path: str | None) -> list[str]:
     """
     try:
         if path is None:
-            return [line.strip() for line in sys.stdin]
+            text = sys.stdin.buffer.read().decode("ascii")
+            # newline=None splits lines as a file opened in text mode does
+            return [line.strip() for line in io.StringIO(text, newline=None)]
         with open(path, encoding="ascii") as handle:
             return [line.strip() for line in handle]
     except OSError as exc:
@@ -318,8 +321,8 @@ def _build_parser() -> _Parser:
         type=_positive,
         default=1,
         help="upper bound on worker processes, capped at the CPU count and "
-        "at one per chunk of work; a sweep forks only when the rest of its "
-        "work, at the rate seen so far, outweighs starting a pool",
+        f"at one per chunk of {_CHUNK} graphs, so a sweep of one chunk "
+        "never forks",
     )
     verify.set_defaults(entry=_cmd_verify)
     return parser

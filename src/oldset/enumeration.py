@@ -157,10 +157,15 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     Representatives are canonically labeled, carry their certificate so
     canonical_form on them is free, and stream in certificate order.
     Only 1 <= n <= MAX_BUILTIN_ORDER is built in; larger orders are out
-    of scope for the exhaustive machinery.
+    of scope for the exhaustive machinery.  The order is checked on the
+    call; the classes are built on the first next().
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_BUILTIN_ORDER}, got {n}"
         )
+    return _classes(n)
+
+
+def _classes(n: int) -> Iterator[Graph]:
     yield from _connected_classes(n)

@@ -20,7 +20,6 @@ __all__ = [
     "iter_bits",
     "vertices_of",
     "from_edges",
-    "open_neighbourhood",
     "open_twins",
     "is_old_set",
     "is_locatable",
@@ -154,13 +153,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, rows)
-
-
-def open_neighbourhood(g: Graph, v: int) -> VertexSet:
-    """N(v) as a mask; v itself is never included."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} is not in 0..{g.n - 1}")
-    return g.adj[v]
 
 
 def open_twins(g: Graph) -> list[tuple[int, int]]:

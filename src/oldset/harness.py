@@ -27,22 +27,20 @@ and a removable vertex called forced hides a witness, which the exact
 solve then contradicts.
 
 Reports are deterministic: findings are keyed and sorted by canonical
-certificate, so any relabeling or reordering of the input stream, and
-any worker count, produces the identical report.  Only the graphs the
-report names are canonicalised: those with a finding (an order
-mismatch, an extremal or exactly solved graph, a violation).  The
-labeling search is exponential and would otherwise run on every input
-graph to key rows that are then dropped.  The order does not change:
-the rows come back in input order, and a stable sort of the named rows
-lists them exactly as sorting every row and then keeping the named
-ones would, ties between isomorphic copies included.  The structured
-rendering omits wall-clock time for the same reason.
+certificate, ties by input index, so any relabeling or reordering of
+the input stream, and any worker count, produces the identical report.
+The structured rendering omits wall-clock time for the same reason.
+Only the graphs the report names are canonicalised: those with a
+finding (an order mismatch, an extremal or exactly solved graph, a
+violation).  The labeling search is exponential and would otherwise run
+on every input graph to key rows that are then dropped.
 
-More than one job is an upper bound, not a promise of a pool.  Most
-graphs cost far less to examine than a process pool costs to start, so
-the sweep examines graphs in process first and forks only when the rest
-of the batch, at the rate seen so far, would take well over the pool's
-start-up.  The rows keep input order either way.
+The sweep cuts its input into chunks of _CHUNK graphs, and each chunk
+returns its counts and only its named rows.  More than one job is an
+upper bound, not a promise of a pool: a sweep forks only when it has
+more than one chunk, a rule on the input's size alone, so one input
+always takes the same path.  A short stream of costly graphs therefore
+runs in process.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .domination import classify_forced, old_number
@@ -66,10 +65,10 @@ from .halfgraphs import is_union_of_half_graphs
 __all__ = ["HarnessReport", "run_harness"]
 
 # A pool costs 70-100 ms to start on two cores and a cheap graph well
-# under 0.1 ms to examine, so a sweep first examines graphs in process
-# for _PROBE_S and forks only for a rest projected to take _POOL_PAYS_S.
-_PROBE_S = 0.05
-_POOL_PAYS_S = 0.5
+# under 0.1 ms to examine, so a sweep of one chunk runs in process: the
+# 3,000-graph stream and the order-8 census (11,117 graphs) never fork,
+# a 60,000-graph stream does.
+_CHUNK = 16384
 
 
 class HarnessReport:
@@ -220,29 +219,22 @@ def _examine(g: Graph) -> _Row:
     return _Row(g.n, True, extremal, gamma, half, bondy_bad, prop2_bad)
 
 
-def _probe_then_pool(batch: list[Graph], workers: int) -> list[_Row]:
-    """Rows of batch in order; the rest goes to a pool only if it pays."""
-    rows = []
-    started = time.perf_counter()
-    for g in batch:
-        rows.append(_examine(g))
-        if time.perf_counter() - started >= _PROBE_S:
-            break
-    rest = batch[len(rows):]
-    projected = (time.perf_counter() - started) / max(len(rows), 1) * len(rest)
-    # the pool forks every worker on its first task, so never ask for
-    # more than there are cores, or chunks to hand out
-    chunk = max(1, len(rest) // (workers * 8))
-    workers = min(workers, -(-len(rest) // chunk))
-    if workers <= 1 or projected < _POOL_PAYS_S:
-        rows.extend(_examine(g) for g in rest)
-        return rows
-    # imported here: a sweep that never forks should not pay for it
-    from concurrent.futures import ProcessPoolExecutor
+def _sweep(
+    n: int, start: int, chunk: list[Graph]
+) -> tuple[int, int, list[tuple[str, int, _Row]]]:
+    """Examine chunk, whose first graph has input index start.
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows.extend(pool.map(_examine, rest, chunksize=chunk))
-    return rows
+    Returns the number of graphs, the number of locatable ones and
+    (certificate, input index, row) for each graph the report names.
+    """
+    locatable = 0
+    named = []
+    for index, g in enumerate(chunk, start):
+        row = _examine(g)
+        locatable += row.locatable
+        if row.order != n or row.gamma is not None or row.bondy_bad or row.prop2_bad:
+            named.append((_cert(g), index, row))
+    return len(chunk), locatable, named
 
 
 def run_harness(
@@ -259,31 +251,38 @@ def run_harness(
     vertex can never be dropped.  Only graphs that this certificate or
     half-graph recognition calls extremal are solved exactly, and only
     graphs that land in a report list get a canonical certificate.
-    jobs > 1 allows a process pool of at most min(jobs, CPU count,
-    chunks of work) workers.  The sweep examines graphs in process for
-    a short probe and hands the rest to a pool only when the rest,
-    at the rate the probe saw, projects to well over the cost of
-    starting one; otherwise it finishes in process.  The decision
-    cannot change the report.
+    The input is examined in chunks of _CHUNK graphs, and jobs > 1
+    allows a process pool of min(jobs, CPU count, chunks) workers: a
+    sweep of at most _CHUNK graphs runs in process however costly its
+    graphs are.  The path cannot change the report.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
     started = time.perf_counter()
     batch = list(graphs)
-    rows = _probe_then_pool(batch, min(jobs, os.cpu_count() or 1))
+    starts = range(0, len(batch), _CHUNK)
+    work = (repeat(n), starts, [batch[i : i + _CHUNK] for i in starts])
+    # the pool forks every worker on its first task, so never ask for
+    # more than there are cores, or chunks to hand out
+    workers = min(jobs, os.cpu_count() or 1, len(starts))
+    if workers > 1:
+        # imported here: a sweep that never forks should not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            swept = list(pool.map(_sweep, *work))
+    else:
+        swept = map(_sweep, *work)
 
     report = HarnessReport(n, record_errors)
-    report.graphs_scanned = len(rows)
-    report.locatable_count = sum(row.locatable for row in rows)
-    # pool.map keeps rows in batch order, so the stable sort below puts
-    # the named rows in the order a sort of every row would
-    named = [
-        (_cert(g), row)
-        for g, row in zip(batch, rows)
-        if row.order != n or row.gamma is not None or row.bondy_bad or row.prop2_bad
-    ]
-    named.sort(key=lambda pair: pair[0])
-    for cert, row in named:
+    named = []
+    for scanned, locatable, rows in swept:
+        report.graphs_scanned += scanned
+        report.locatable_count += locatable
+        named.extend(rows)
+    # input indices are distinct, so the sort never compares two rows
+    named.sort()
+    for cert, _, row in named:
         if row.order != n:
             report.record_errors.append(f"{cert}: order differs from sweep order {n}")
         if row.extremal:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -262,14 +263,22 @@ def test_verify_missing_stream_file(capsys):
 @pytest.mark.parametrize(
     "command", [["solve"], ["recognize"], ["verify", "--stream"]]
 )
-@pytest.mark.parametrize("unreadable", ["non_ascii", "directory"])
-def test_unreadable_input_file_exits_2(tmp_path, capsys, command, unreadable):
-    if unreadable == "non_ascii":
+@pytest.mark.parametrize("unreadable", ["non_ascii", "directory", "non_ascii_stdin"])
+def test_unreadable_input_file_exits_2(
+    tmp_path, capsys, monkeypatch, command, unreadable
+):
+    if unreadable == "non_ascii_stdin":
+        # stdin is decoded as ASCII, the way a file is
+        stdin = io.TextIOWrapper(io.BytesIO(b"A_\n\xc3\xa9\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        argv = [*command, "-"] if command[0] == "verify" else command
+    elif unreadable == "non_ascii":
         path = tmp_path / "latin1.g6"
         path.write_bytes(b"A_\n\xe9\n")
+        argv = [*command, str(path)]
     else:
-        path = tmp_path
-    code, out, err = _run(capsys, *command, str(path))
+        argv = [*command, str(tmp_path)]
+    code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("oldset: cannot read ") and err.count("\n") == 1
@@ -343,15 +352,15 @@ _PUBLIC_NAMES = [
     "half_graph", "induced_subgraph", "is_connected", "is_half_graph",
     "is_locatable", "is_old_set", "is_union_of_half_graphs", "iter_bits",
     "location_forced", "mask_of", "old_number", "old_number_bruteforce",
-    "open_neighbourhood", "open_twins", "parse_graph6", "peel", "run_harness",
-    "to_graph6", "vertices_of",
+    "open_twins", "parse_graph6", "peel", "run_harness", "to_graph6",
+    "vertices_of",
 ]
 
 
 def test_package_reexports_each_module_all_once():
     from oldset import domination, enumeration, graph6, graphs, halfgraphs, harness
 
-    # a name listed twice would make this 42 entries
+    # a name listed twice would make this 41 entries
     assert sorted(oldset.__all__) == _PUBLIC_NAMES
     modules = [domination, enumeration, graph6, graphs, halfgraphs, harness]
     for name in oldset.__all__:

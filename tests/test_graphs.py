@@ -18,7 +18,6 @@ from oldset import (
     is_locatable,
     iter_bits,
     mask_of,
-    open_neighbourhood,
     open_twins,
     vertices_of,
 )
@@ -129,13 +128,11 @@ def test_graph_pickles(monkeypatch):
 def test_open_neighbourhood_half_graph():
     # v_1 of H_3 sees all of w_1..w_3
     g = half_graph(3)
-    assert open_neighbourhood(g, 0) == mask_of([3, 4, 5])
-    assert open_neighbourhood(from_edges(2, []), 0) == 0
+    assert g.adj[0] == mask_of([3, 4, 5])
+    assert from_edges(2, []).adj[0] == 0
     k3 = _k(3)
     for v in range(3):
-        assert open_neighbourhood(k3, v) == 0b111 & ~(1 << v)
-    _rejects(open_neighbourhood, g, 6)
-    _rejects(open_neighbourhood, g, -1)
+        assert k3.adj[v] == 0b111 & ~(1 << v)
 
 
 def test_open_twins_c4():

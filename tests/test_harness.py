@@ -302,20 +302,25 @@ def _mixed_stream():
     return list(enumerate_connected_graphs(6)) + extra
 
 
-def _the_one_report(stream):
-    """The report of stream, equal under two scramblings and one or two jobs."""
-    reports = {
-        run_harness(_scrambled(stream, seed), 6, jobs=jobs).to_json()
-        for seed in (1, 2)
-        for jobs in (1, 2)
-    }
+def _the_one_report(stream, monkeypatch):
+    """The report of stream, equal under two scramblings, one or two jobs,
+    and one chunk or chunks of three graphs, which put isomorphic copies
+    and violations in different chunks."""
+    reports = set()
+    for chunk in (oldset.harness._CHUNK, 3):
+        monkeypatch.setattr(oldset.harness, "_CHUNK", chunk)
+        reports.update(
+            run_harness(_scrambled(stream, seed), 6, jobs=jobs).to_json()
+            for seed in (1, 2)
+            for jobs in (1, 2)
+        )
     assert len(reports) == 1
     return json.loads(reports.pop())
 
 
-def test_mixed_stream_report_is_deterministic_in_certificate_order():
+def test_mixed_stream_report_is_deterministic_in_certificate_order(monkeypatch):
     stream = _mixed_stream()
-    report = _the_one_report(stream)
+    report = _the_one_report(stream, monkeypatch)
     assert report["extremal"] == sorted(
         canonical_form(half_graph(k)).decode("ascii") for k in (2, 3, 3, 3, 4)
     )
@@ -341,9 +346,8 @@ def test_mixed_stream_violations_are_deterministic(monkeypatch):
         lambda max_workers: _InProcessPool(),
     )
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _decide_after_one_graph(monkeypatch)
     stream = _mixed_stream()
-    report = _the_one_report(stream)
+    report = _the_one_report(stream, monkeypatch)
     locatable = sorted(
         canonical_form(g).decode("ascii") for g in stream if is_locatable(g)
     )
@@ -375,38 +379,38 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
-def _decide_after_one_graph(monkeypatch):
-    """Make every sweep with more than one graph left take its pool."""
-    monkeypatch.setattr(oldset.harness, "_PROBE_S", 0)
-    monkeypatch.setattr(oldset.harness, "_POOL_PAYS_S", 0)
+def _recording_pool(sizes):
+    """A ProcessPoolExecutor stand-in that records its worker count."""
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return _InProcessPool()
+
+    return pool
 
 
 def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
     from oldset.cli import main
 
     sizes = []
-
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return _InProcessPool()
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    _decide_after_one_graph(monkeypatch)
-    graphs = list(enumerate_connected_graphs(5))  # 21 graphs
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", _recording_pool(sizes)
+    )
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 2)
+    graphs = list(enumerate_connected_graphs(5))  # 21 graphs, 11 chunks
     solo = run_harness(graphs, 5).to_json()
-    # the probe takes one graph, so each cap counts the count - 1 left
     for cores, jobs, count, expected in [
         (2, 5000, 21, 2),   # never more workers than cores
         (2, 2, 21, 2),      # two jobs on two cores keep both
-        (64, 5000, 21, 20),  # one graph per chunk, one chunk per worker
+        (64, 5000, 21, 11),  # one chunk per worker
         (64, 5000, 3, 2),
         (64, 8, 21, 8),
         (None, 4, 21, None),  # unknown core count: run in process
-        (64, 4, 2, None),  # one graph left is one chunk
+        (64, 4, 2, None),  # one chunk
         (64, 4, 1, None),
         (64, 4, 0, None),
     ]:
@@ -421,6 +425,23 @@ def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
     sizes.clear()
     assert main(["verify", "--n", "5", "--jobs", "5000", "--format", "structured"]) == 0
     assert sizes == [2]
+
+
+def test_a_sweep_forks_by_its_size_alone(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", _recording_pool(sizes)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    chunk = oldset.harness._CHUNK
+    k1 = from_edges(1, [])
+    # the cheapest graph there is: only the count decides, every time
+    for _ in range(3):
+        assert run_harness([k1] * chunk, 1, jobs=2).graphs_scanned == chunk
+        assert sizes == []
+    for _ in range(3):
+        assert run_harness([k1] * (chunk + 1), 1, jobs=2).graphs_scanned == chunk + 1
+    assert sizes == [2, 2, 2]
 
 
 def _no_pool(max_workers):
@@ -453,7 +474,7 @@ def test_a_real_pool_keeps_the_report(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _decide_after_one_graph(monkeypatch)
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 40)  # 112 graphs, 3 chunks
     solo = run_harness(enumerate_connected_graphs(6), 6).to_json()
     pooled = run_harness(enumerate_connected_graphs(6), 6, jobs=2).to_json()
     assert started == [2]
