@@ -12,10 +12,12 @@ Exit codes: 0 success (for verify: theorem holds, no violations),
 1 usage error, 2 unreadable input, 3 graph admits no OLD set,
 4 the sweep found a violation.
 
-A bad record never stops a run.  solve and recognize print the error
-for each unparsable record on stderr and go on with the rest, then exit
-2 if any record failed to parse, else 3 if any solve input admits no
-OLD set; verify --stream lists such records in its report.
+A bad record never stops a run.  solve and recognize share one record
+loop: it prints the error of each record that does not parse, or that
+solve finds to admit no OLD set, on stderr and goes on with the rest,
+then exits 2 if any record failed to parse, else 3 if any admits no OLD
+set.  verify --stream lists bad records in its report.  A closed stdout
+(oldset recognize FILE | head -1) ends the run silently, as it ends cat.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import io
 import json
 import os
 import sys
-from typing import Iterable
 
 from .domination import classify_forced, old_number, old_number_bruteforce
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
@@ -78,11 +79,6 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _set(mask_vertices: Iterable[int]) -> str:
-    inner = ", ".join(str(v) for v in mask_vertices)
-    return "{" + inner + "}"
-
-
 def _read_lines(path: str | None) -> list[str]:
     """Stripped lines of an ASCII file, or of stdin when path is None.
 
@@ -119,49 +115,58 @@ def _records(args_graphs: list[str]) -> list[str]:
     return records
 
 
-def _cmd_solve(args) -> int:
-    solver = _SOLVERS[args.solver]
-    bad_record = unlocatable = False
+def _each_record(args, payload, text) -> int:
+    """Print payload(g, record) of every record, as JSON or through text.
+
+    A record that does not parse sets exit 2; one whose payload raises
+    NotLocatableError sets exit 3 unless exit 2 is set.  Either error goes
+    to stderr, and the remaining records still run.
+    """
+    render = _dump if args.format == "structured" else text
+    status = EXIT_OK
     for record in _records(args.graphs):
         try:
-            g = parse_graph6(record)
+            answer = payload(parse_graph6(record), record)
         except GraphFormatError as exc:
             print(exc, file=sys.stderr)
-            bad_record = True
+            status = EXIT_PARSE
             continue
-        try:
-            result = solver(g)
         except NotLocatableError as exc:
             print(f"{record}: {exc}", file=sys.stderr)
-            unlocatable = True
+            status = status or EXIT_NOT_LOCATABLE
             continue
+        print(render(answer))
+    return status
+
+
+def _solve_text(answer: dict) -> str:
+    lines = [f"{answer['graph6']}: n={answer['n']}, gamma_OL={answer['gamma']}"]
+    for key in ("witness", "domination_forced", "location_forced", "unforced"):
+        inner = ", ".join(map(str, answer[key]))
+        lines.append(f"  {key.replace('_', '-')} = {{{inner}}}")
+    lines.append(f"  method = {answer['method']}, nodes = {answer['nodes_explored']}")
+    return "\n".join(lines)
+
+
+def _cmd_solve(args) -> int:
+    solver = _SOLVERS[args.solver]
+
+    def payload(g: Graph, record: str) -> dict:
+        result = solver(g)
         parts = classify_forced(g)
-        if args.format == "structured":
-            print(
-                _dump(
-                    {
-                        "graph6": record,
-                        "n": g.n,
-                        "gamma": result.gamma,
-                        "witness": vertices_of(result.witness),
-                        "domination_forced": vertices_of(parts.domination_forced),
-                        "location_forced": vertices_of(parts.location_forced),
-                        "unforced": vertices_of(parts.unforced),
-                        "method": result.method,
-                        "nodes_explored": result.nodes_explored,
-                    }
-                )
-            )
-        else:
-            print(f"{record}: n={g.n}, gamma_OL={result.gamma}")
-            print(f"  witness = {_set(vertices_of(result.witness))}")
-            print(f"  domination-forced = {_set(vertices_of(parts.domination_forced))}")
-            print(f"  location-forced = {_set(vertices_of(parts.location_forced))}")
-            print(f"  unforced = {_set(vertices_of(parts.unforced))}")
-            print(f"  method = {result.method}, nodes = {result.nodes_explored}")
-    if bad_record:
-        return EXIT_PARSE
-    return EXIT_NOT_LOCATABLE if unlocatable else EXIT_OK
+        return {
+            "graph6": record,
+            "n": g.n,
+            "gamma": result.gamma,
+            "witness": vertices_of(result.witness),
+            "domination_forced": vertices_of(parts.domination_forced),
+            "location_forced": vertices_of(parts.location_forced),
+            "unforced": vertices_of(parts.unforced),
+            "method": result.method,
+            "nodes_explored": result.nodes_explored,
+        }
+
+    return _each_record(args, payload, _solve_text)
 
 
 def _cmd_gen(args) -> int:
@@ -192,38 +197,28 @@ def _recognize_payload(g: Graph, record: str) -> dict:
     return payload
 
 
+def _recognize_text(answer: dict) -> str:
+    record = answer["graph6"]
+    if answer["half_graph"]:
+        return (
+            f"{record}: half-graph k={answer['k']}, "
+            f"v_order={answer['v_order']}, w_order={answer['w_order']}"
+        )
+    if answer["connected"]:
+        return f"{record}: not a half-graph"
+    lines = [f"{record}: disconnected"]
+    for entry in answer["components"]:
+        verdict = (
+            f"half-graph k={entry['k']}" if entry["half_graph"] else "not a half-graph"
+        )
+        lines.append(f"  component {entry['vertices']}: {verdict}")
+    yes = "yes" if answer["union_of_half_graphs"] else "no"
+    lines.append(f"  union of half-graphs: {yes}")
+    return "\n".join(lines)
+
+
 def _cmd_recognize(args) -> int:
-    status = EXIT_OK
-    for record in _records(args.graphs):
-        try:
-            g = parse_graph6(record)
-        except GraphFormatError as exc:
-            print(exc, file=sys.stderr)
-            status = EXIT_PARSE
-            continue
-        payload = _recognize_payload(g, record)
-        if args.format == "structured":
-            print(_dump(payload))
-            continue
-        if payload["half_graph"]:
-            print(
-                f"{record}: half-graph k={payload['k']}, "
-                f"v_order={payload['v_order']}, w_order={payload['w_order']}"
-            )
-        elif payload["connected"]:
-            print(f"{record}: not a half-graph")
-        else:
-            print(f"{record}: disconnected")
-            for entry in payload["components"]:
-                verdict = (
-                    f"half-graph k={entry['k']}"
-                    if entry["half_graph"]
-                    else "not a half-graph"
-                )
-                print(f"  component {entry['vertices']}: {verdict}")
-            yes = "yes" if payload["union_of_half_graphs"] else "no"
-            print(f"  union of half-graphs: {yes}")
-    return status
+    return _each_record(args, _recognize_payload, _recognize_text)
 
 
 def _cmd_verify(args) -> int:
@@ -266,25 +261,29 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATION
 
 
-_GRAPHS_HELP = "graph6 records, or files of them (./NAME if NAME is a record)"
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oldset", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands share, each declared once
+    formats = _Parser(add_help=False)
+    formats.add_argument("--format", choices=("text", "structured"), default="text")
+    records = _Parser(add_help=False)
+    records.add_argument(
+        "graphs",
+        nargs="*",
+        help="graph6 records, or files of them (./NAME if NAME is a record)",
+    )
 
     solve = commands.add_parser(
-        "solve", help="exact gamma_OL, witness, and forced partition"
+        "solve",
+        parents=[records, formats],
+        help="exact gamma_OL, witness, and forced partition",
     )
-    solve.add_argument("graphs", nargs="*", help=_GRAPHS_HELP)
     solve.add_argument(
         "--solver",
         choices=sorted(_SOLVERS),
         default="bnb",
         help="exact algorithm (default bnb)",
-    )
-    solve.add_argument(
-        "--format", choices=("text", "structured"), default="text"
     )
     solve.set_defaults(entry=_cmd_solve)
 
@@ -293,16 +292,16 @@ def _build_parser() -> _Parser:
     gen.set_defaults(entry=_cmd_gen)
 
     recognize = commands.add_parser(
-        "recognize", help="decide half-graph structure, with labeling"
-    )
-    recognize.add_argument("graphs", nargs="*", help=_GRAPHS_HELP)
-    recognize.add_argument(
-        "--format", choices=("text", "structured"), default="text"
+        "recognize",
+        parents=[records, formats],
+        help="decide half-graph structure, with labeling",
     )
     recognize.set_defaults(entry=_cmd_recognize)
 
     verify = commands.add_parser(
-        "verify", help="run the extremal-characterisation harness"
+        "verify",
+        parents=[formats],
+        help="run the extremal-characterisation harness",
     )
     verify.add_argument(
         "--n", type=_positive, help="sweep all connected graphs of this order"
@@ -312,9 +311,6 @@ def _build_parser() -> _Parser:
         help="file of graph6 records to sweep instead ('-' for stdin); a "
         f"report names a graph of order above {CANONICAL_ORDER_LIMIT} by its "
         "input graph6, not a canonical form",
-    )
-    verify.add_argument(
-        "--format", choices=("text", "structured"), default="text"
     )
     verify.add_argument(
         "--jobs",
@@ -342,4 +338,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    import signal
+
+    # a reader that closes stdout early (| head -1) ends the run the way
+    # it ends cat, by SIGPIPE, not with a BrokenPipeError traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -6,12 +6,15 @@ a strict chain, every vertex ends up forced, and gamma_OL(H_k) = 2k =
 n: half-graphs are precisely the connected locatable graphs whose OLD
 number is as large as it can get.
 
-Recognition needs no search.  In H_k the degree of v_i is k - i + 1 and
-the degree of w_j is j, so each side carries every degree 1..k exactly
+Recognition needs no search.  In H_k a vertex of top degree (v_1 or
+w_k) is adjacent to the whole other side, so its neighbourhood splits
+the graph into the two sides.  The degree of v_i is k - i + 1 and the
+degree of w_j is j, so each side carries every degree 1..k exactly
 once; sorting each side by degree pins the only possible labeling, and
-one pass checks the i <= j edge law.  The degrees alone, two vertices of
-each degree 1..k per component, turn away most graphs before any
-structural pass.
+one pass over the rows of the v side checks the i <= j edge law.  The
+degrees alone, two vertices of each degree 1..k per component, turn
+away most graphs before any structural pass.  A component is tested in
+place, on its vertex mask, without a copy of the subgraph.
 
 Peeling inverts the growth step H_{k-1} -> H_k.  A peel step removes a
 pendant vertex y together with its unique neighbour x, provided some
@@ -27,6 +30,7 @@ from typing import NamedTuple
 from .graphs import (
     Graph,
     NotLocatableError,
+    VertexSet,
     component_masks,
     from_edges,
     induced_subgraph,
@@ -96,55 +100,51 @@ def _half_graph_count(g: Graph) -> int:
     return counts[1] if g.n else 0
 
 
-def _labeling_for(g: Graph, side_a: list[int], side_b: list[int]) -> HalfGraphLabeling | None:
-    """Try side_a as the v side and side_b as the w side."""
-    k = len(side_a)
-    if sorted(g.degree(v) for v in side_a) != list(range(1, k + 1)):
+def _labeling_for(g: Graph, side_a: VertexSet, side_b: VertexSet) -> HalfGraphLabeling | None:
+    """Try side_a as the v side and side_b as the w side.
+
+    The w degrees must read 1..k and each v_i's row must be exactly
+    {w_i, ..., w_k}; the degree sums then leave the w side no other edge.
+    """
+    v_order = sorted(iter_bits(side_a), key=g.degree, reverse=True)
+    w_order = sorted(iter_bits(side_b), key=g.degree)
+    k = len(v_order)
+    if [g.degree(w) for w in w_order] != list(range(1, k + 1)):
         return None
-    if sorted(g.degree(w) for w in side_b) != list(range(1, k + 1)):
-        return None
-    v_order = sorted(side_a, key=g.degree, reverse=True)
-    w_order = sorted(side_b, key=g.degree)
     suffix = 0
-    suffixes = [0] * k
     for i in range(k - 1, -1, -1):
         suffix |= 1 << w_order[i]
-        suffixes[i] = suffix
-    for i in range(k):
-        if g.adj[v_order[i]] != suffixes[i]:
+        if g.adj[v_order[i]] != suffix:
             return None
     return HalfGraphLabeling(k, tuple(v_order), tuple(w_order))
+
+
+def _labeling_within(g: Graph, comp: VertexSet) -> HalfGraphLabeling | None:
+    """The labeling of the subgraph on comp as a half-graph, or None.
+
+    comp must hold every neighbour of its vertices, as a component does.
+    The neighbourhood of a vertex of top degree is one side, the rest of
+    comp the other; the side of comp's least vertex is tried as v first.
+    """
+    top = max(iter_bits(comp), key=g.degree)
+    w_side = g.adj[top]
+    v_side = comp & ~w_side
+    if not v_side & comp & -comp:
+        v_side, w_side = w_side, v_side
+    return _labeling_for(g, v_side, w_side) or _labeling_for(g, w_side, v_side)
 
 
 def is_half_graph(g: Graph) -> HalfGraphLabeling | None:
     """The labeling of g as a half-graph, or None.
 
-    The graph must be connected with 2k vertices split by a proper
-    2-colouring into two sides of size k whose degrees are each 1..k;
-    both side assignments are tried, so the result is independent of
-    labeling.  Before the connectivity and colouring passes, the sorted
-    degrees must read 1, 1, 2, 2, ..., k, k.  H_k has exactly these
-    degrees, so the gate turns away no half-graph.
+    The sorted degrees must read 1, 1, 2, 2, ..., k, k, as those of H_k
+    do, before g is tested in place on all its vertices.  Both side
+    assignments are tried, the side of vertex 0 as the v side first, so
+    the verdict is independent of labeling.
     """
-    n = g.n
-    if _half_graph_count(g) != 1 or not is_connected(g):
+    if _half_graph_count(g) != 1:
         return None
-    colour = [-1] * n
-    colour[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in iter_bits(g.adj[v]):
-            if colour[u] < 0:
-                colour[u] = 1 - colour[v]
-                stack.append(u)
-            elif colour[u] == colour[v]:
-                return None
-    side_a = [v for v in range(n) if colour[v] == 0]
-    side_b = [v for v in range(n) if colour[v] == 1]
-    if len(side_a) != len(side_b):
-        return None
-    return _labeling_for(g, side_a, side_b) or _labeling_for(g, side_b, side_a)
+    return _labeling_within(g, (1 << g.n) - 1)
 
 
 def peel(g: Graph) -> PeelStep | None:
@@ -183,12 +183,9 @@ def is_union_of_half_graphs(g: Graph) -> bool:
     union of half-graphs has (a vertex of degree 0, an odd number of
     vertices of some degree, more vertices of degree d + 1 than of
     degree d) give False before the components are found; every union
-    of half-graphs passes that gate, so it changes no verdict.  A
-    connected graph is tested as it stands, without a component copy.
+    of half-graphs passes that gate, so it changes no verdict.  Each
+    component is then tested in place, on its vertex mask.
     """
     if _half_graph_count(g) < 0:
         return False
-    masks = component_masks(g)
-    if len(masks) == 1:
-        return is_half_graph(g) is not None
-    return all(is_half_graph(induced_subgraph(g, m)[0]) is not None for m in masks)
+    return all(_labeling_within(g, m) is not None for m in component_masks(g))

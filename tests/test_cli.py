@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +36,15 @@ def test_solve_k3_text(capsys):
     record = to_graph6(from_edges(3, [(0, 1), (1, 2), (0, 2)]))
     code, out, _ = _run(capsys, "solve", record)
     assert code == 0
-    assert "gamma_OL=2" in out
-    assert "unforced = {0, 1, 2}" in out
+    # an empty set prints as {}
+    assert out == (
+        "Bw: n=3, gamma_OL=2\n"
+        "  witness = {0, 1}\n"
+        "  domination-forced = {}\n"
+        "  location-forced = {}\n"
+        "  unforced = {0, 1, 2}\n"
+        "  method = branch-and-bound, nodes = 5\n"
+    )
 
 
 def test_solve_structured_is_stable(capsys):
@@ -187,6 +196,58 @@ def test_recognize_structured(capsys):
     assert payload["k"] == 6
 
 
+_README_EXAMPLES = [
+    (
+        "oldset solve DhC",
+        "DhC: n=5, gamma_OL=4\n"
+        "  witness = {0, 1, 2, 3}\n"
+        "  domination-forced = {1, 3}\n"
+        "  location-forced = {1, 3}\n"
+        "  unforced = {0, 2, 4}\n"
+        "  method = branch-and-bound, nodes = 5\n",
+    ),
+    (
+        "oldset gen --k 4 | oldset recognize",
+        "G?bFF_: half-graph k=4, v_order=[0, 1, 2, 3], w_order=[4, 5, 6, 7]\n",
+    ),
+    (
+        "oldset recognize E_Go",  # H_1 + H_2
+        "E_Go: disconnected\n"
+        "  component [0, 1]: half-graph k=1\n"
+        "  component [2, 3, 4, 5]: half-graph k=2\n"
+        "  union of half-graphs: yes\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "shell, text", _README_EXAMPLES, ids=["solve", "gen_recognize", "recognize_union"]
+)
+def test_readme_examples_are_the_output_byte_for_byte(
+    capsys, monkeypatch, shell, text
+):
+    # each stage of the shell line reads the previous stage's stdout
+    out = ""
+    for stage in shell.split(" | "):
+        stdin = io.TextIOWrapper(io.BytesIO(out.encode()), encoding="ascii")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = _run(capsys, *stage.split()[1:])
+        assert (code, err) == (0, "")
+    assert out == text
+    readme = Path(__file__).parents[1] / "README.md"
+    assert f"$ {shell}\n{text}" in readme.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["solve", "recognize", "verify"])
+def test_help_lists_format_once(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    help_lines = capsys.readouterr().out.splitlines()
+    options = [line.split()[0] for line in help_lines if line.startswith("  -")]
+    assert options.count("--format") == 1
+
+
 def test_verify_builtin_order_4(capsys):
     code, out, _ = _run(capsys, "verify", "--n", "4")
     assert code == 0
@@ -290,15 +351,19 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert code == 1
 
 
-def _python(*argv, **kwargs):
+def _child_env() -> dict:
     # the child imports the same oldset as this process, installed or not
     src = os.path.dirname(os.path.dirname(oldset.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _python(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         **kwargs,
     )
 
@@ -316,6 +381,24 @@ def test_stdin_round_trip_via_interpreter():
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["gamma"] == 6
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
+    # 30,000 records print about 1.3 MB, more than a pipe buffer holds,
+    # so the run writes to the pipe after its reader has closed it
+    path = tmp_path / "many.g6"
+    path.write_text("A_\n" * 30_000)
+    argv = [sys.executable, "-m", "oldset", "recognize", str(path)]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(argv, env=_child_env(), **pipes) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert first == b"A_: half-graph k=1, v_order=[0], w_order=[1]\n"
+    assert err == b""
+    assert code == -signal.SIGPIPE
 
 
 def test_cli_import_leaves_slow_modules_unloaded():

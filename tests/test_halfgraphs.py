@@ -216,19 +216,31 @@ def _toggles(h: Graph):
             yield Graph(h.n, tuple(adj))
 
 
+def _interleaved(g1: Graph, g2: Graph) -> Graph:
+    """g1 + g2 with labels alternating between the parts, g1's first."""
+    n1 = g1.n
+    order = sorted(range(n1 + g2.n), key=lambda u: (u, 0) if u < n1 else (u - n1, 1))
+    perm = [0] * len(order)
+    for label, u in enumerate(order):
+        perm[u] = label
+    return _relabel(disjoint_union(g1, g2), perm)
+
+
 def test_union_test_agrees_with_canonical_forms():
     small = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
     cases = [g for n in range(1, 9) for g in enumerate_connected_graphs(n)]
-    cases += [
-        disjoint_union(half_graph(j), half_graph(k))
-        for j in range(1, 5)
-        for k in range(1, 5)
-    ]
-    cases += [disjoint_union(half_graph(j), g) for j in range(1, 5) for g in small]
+    for join in (disjoint_union, _interleaved):
+        cases += [
+            join(half_graph(j), half_graph(k))
+            for j in range(1, 5)
+            for k in range(1, 5)
+        ]
+        cases += [join(half_graph(j), g) for j in range(1, 5) for g in small]
     cases += [t for k in range(1, 7) for t in _toggles(half_graph(k))]
     verdicts = [is_union_of_half_graphs(g) for g in cases]
     assert verdicts == [_union_oracle(g) for g in cases]
-    # H_1..H_4, the 16 unions of two, H_j + H_1 and H_j + H_2 again from
-    # the small classes, and H_1 + H_1 from cutting the middle of H_2 = P_4
-    assert sum(verdicts) == 4 + 16 + 8 + 1
+    # H_1..H_4; for each way of joining, the 16 unions of two and H_j + H_1
+    # and H_j + H_2 again from the small classes; and H_1 + H_1 from
+    # cutting the middle of H_2 = P_4
+    assert sum(verdicts) == 4 + 2 * (16 + 8) + 1
 
