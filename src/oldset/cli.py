@@ -12,12 +12,14 @@ Exit codes: 0 success (for verify: theorem holds, no violations),
 1 usage error, 2 unreadable input, 3 graph admits no OLD set,
 4 the sweep found a violation.
 
-A bad record never stops a run.  solve and recognize share one record
-loop: it prints the error of each record that does not parse, or that
-solve finds to admit no OLD set, on stderr and goes on with the rest,
-then exits 2 if any record failed to parse, else 3 if any admits no OLD
-set.  verify --stream lists bad records in its report.  A closed stdout
-(oldset recognize FILE | head -1) ends the run silently, as it ends cat.
+A bad record never stops a run.  Every record is parsed once, by one
+line-numbered reader.  solve and recognize share one record loop: it
+prints the error of each record that does not parse, or that solve
+finds to admit no OLD set, on stderr and goes on with the rest, then
+exits 2 if any record failed to parse, else 3 if any admits no OLD set.
+verify --stream lists bad records in its report, as record N with blank
+lines counted.  A closed stdout (oldset recognize FILE | head -1) ends
+the run silently, as it ends cat.
 """
 
 from __future__ import annotations
@@ -27,19 +29,14 @@ import io
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterator
 
 from .domination import classify_forced, old_number, old_number_bruteforce
 from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
-from .graphs import (
-    CANONICAL_ORDER_LIMIT,
-    Graph,
-    NotLocatableError,
-    connected_components,
-    is_connected,
-    vertices_of,
-)
-from .halfgraphs import half_graph, is_half_graph, is_union_of_half_graphs
+from .graphs import CANONICAL_ORDER_LIMIT, Graph, NotLocatableError, vertices_of
+from .halfgraphs import _component_labelings, half_graph
 from .harness import _CHUNK, run_harness
 
 __all__ = ["main", "run"]
@@ -99,20 +96,35 @@ def _read_lines(path: str | None) -> list[str]:
     raise _InputError(f"cannot read {path or 'stdin'}: {reason}")
 
 
-def _records(args_graphs: list[str]) -> list[str]:
-    """Resolve positionals to graph6 records; stdin when none given."""
+def _parse(record: str) -> Graph | GraphFormatError:
+    """The graph a record encodes, or the error that it does not parse."""
+    try:
+        return parse_graph6(record)
+    except GraphFormatError as exc:
+        return exc
+
+
+def _parsed_lines(path: str | None) -> Iterator[tuple]:
+    """(line number, record, parse) of each nonblank line of path, or of
+    stdin when path is None; blank lines count in the numbers.  The text
+    is read on the call, each line parsed as it is reached."""
+    lines = enumerate(_read_lines(path), 1)
+    return ((i, line, _parse(line)) for i, line in lines if line)
+
+
+def _records(args_graphs: list[str]) -> Iterator[tuple]:
+    """Resolve positionals to (line number, record, parse), an inline
+    record numbered 0; stdin when none given.  Files are read up front."""
     if not args_graphs:
-        return [line for line in _read_lines(None) if line]
+        return _parsed_lines(None)
     records = []
     for item in args_graphs:
-        try:
-            parse_graph6(item)
-        except GraphFormatError:
-            if os.path.exists(item):
-                records.extend(line for line in _read_lines(item) if line)
-                continue
-        records.append(item)
-    return records
+        parsed = _parse(item)
+        if isinstance(parsed, GraphFormatError) and os.path.exists(item):
+            records.append(_parsed_lines(item))
+        else:
+            records.append([(0, item, parsed)])
+    return chain.from_iterable(records)
 
 
 def _each_record(args, payload, text) -> int:
@@ -124,13 +136,13 @@ def _each_record(args, payload, text) -> int:
     """
     render = _dump if args.format == "structured" else text
     status = EXIT_OK
-    for record in _records(args.graphs):
-        try:
-            answer = payload(parse_graph6(record), record)
-        except GraphFormatError as exc:
-            print(exc, file=sys.stderr)
+    for _, record, parsed in _records(args.graphs):
+        if isinstance(parsed, GraphFormatError):
+            print(parsed, file=sys.stderr)
             status = EXIT_PARSE
             continue
+        try:
+            answer = payload(parsed, record)
         except NotLocatableError as exc:
             print(f"{record}: {exc}", file=sys.stderr)
             status = status or EXIT_NOT_LOCATABLE
@@ -175,8 +187,9 @@ def _cmd_gen(args) -> int:
 
 
 def _recognize_payload(g: Graph, record: str) -> dict:
-    payload: dict = {"graph6": record, "n": g.n, "connected": is_connected(g)}
-    labeling = is_half_graph(g)
+    components = list(_component_labelings(g))
+    labeling = components[0][1] if len(components) == 1 else None
+    payload: dict = {"graph6": record, "n": g.n, "connected": len(components) <= 1}
     payload["half_graph"] = labeling is not None
     if labeling is not None:
         payload["k"] = labeling.k
@@ -184,16 +197,12 @@ def _recognize_payload(g: Graph, record: str) -> dict:
         payload["w_order"] = list(labeling.w_order)
     if not payload["connected"]:
         payload["components"] = []
-        for component, kept in connected_components(g):
-            sub = is_half_graph(component)
-            entry: dict = {
-                "vertices": list(kept),
-                "half_graph": sub is not None,
-            }
+        for mask, sub in components:
+            entry: dict = {"vertices": vertices_of(mask), "half_graph": sub is not None}
             if sub is not None:
                 entry["k"] = sub.k
             payload["components"].append(entry)
-    payload["union_of_half_graphs"] = is_union_of_half_graphs(g)
+    payload["union_of_half_graphs"] = all(sub is not None for _, sub in components)
     return payload
 
 
@@ -234,15 +243,11 @@ def _cmd_verify(args) -> int:
         graphs = list(enumerate_connected_graphs(args.n))
         n = args.n
     else:
-        lines = _read_lines(None if args.stream == "-" else args.stream)
-        graphs = []
-        for index, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            try:
-                graphs.append(parse_graph6(line))
-            except GraphFormatError as exc:
-                record_errors.append(f"record {index}: {exc}")
+        records = list(_parsed_lines(None if args.stream == "-" else args.stream))
+        graphs = [g for _, _, g in records if isinstance(g, Graph)]
+        record_errors = [
+            f"record {i}: {bad}" for i, _, bad in records if not isinstance(bad, Graph)
+        ]
         # an explicit order does not make an empty sweep a success
         if not graphs:
             for error in record_errors:

@@ -14,7 +14,8 @@ Each parent is extended once per orbit of neighbourhood masks under its
 automorphisms (McKay 1998, *Isomorph-free exhaustive generation*, J.
 Algorithms 26): masks m and p(m) for an automorphism p give children
 that p, extended by fixing the new vertex, maps onto each other.  The
-generators come from a canonical labeling search of the parent.  A
+generators come from the search that labeled the parent as a child one
+order down, kept with its class, so no parent is searched twice.  A
 subgroup of the automorphism group would be enough for soundness,
 because its orbits only split the full ones and the certificate dict
 still drops every duplicate child; the search in fact yields the whole
@@ -59,6 +60,9 @@ from .graphs import Graph, _canonical_labeling, _graph, component_masks, iter_bi
 __all__ = ["MAX_BUILTIN_ORDER", "enumerate_connected_graphs"]
 
 MAX_BUILTIN_ORDER = 8
+
+# automorphism group generators, each a tuple of vertex images
+_Gens = tuple[tuple[int, ...], ...]
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
@@ -107,9 +111,7 @@ def _accepted_masks(parent: Graph) -> list[int]:
     return accepted
 
 
-def _orbit_representatives(
-    masks: Iterable[int], gens: tuple[tuple[int, ...], ...]
-) -> Iterator[int]:
+def _orbit_representatives(masks: Iterable[int], gens: _Gens) -> Iterator[int]:
     """The first mask of each orbit under the group gens generate.
 
     masks must be closed under the group, and their order decides which
@@ -137,17 +139,16 @@ def _orbit_representatives(
 
 
 @lru_cache(maxsize=None)
-def _connected_classes(n: int) -> tuple[Graph, ...]:
-    """One canonical representative per connected class of order n."""
+def _connected_classes(n: int) -> tuple[tuple[Graph, _Gens], ...]:
+    """One canonical representative per connected class of order n, each
+    with its automorphism generators from the search that labeled it."""
     if n == 1:
-        return (_canonical_labeling(_graph(1, (0,)))[0],)
-    seen: dict[bytes, Graph] = {}
-    for parent in _connected_classes(n - 1):
-        # parents are canonically labeled, so the generators act on them
-        gens = _canonical_labeling(parent, generators=True)[1]
+        return (_canonical_labeling(_graph(1, (0,))),)
+    seen: dict[bytes, tuple[Graph, _Gens]] = {}
+    for parent, gens in _connected_classes(n - 1):
         for mask in _orbit_representatives(_accepted_masks(parent), gens):
-            child = _canonical_labeling(_extend(parent, mask))[0]
-            seen.setdefault(child._canon, child)
+            labeling = _canonical_labeling(_extend(parent, mask))
+            seen.setdefault(labeling[0]._canon, labeling)
     return tuple(seen[cert] for cert in sorted(seen))
 
 
@@ -168,4 +169,4 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
 
 
 def _classes(n: int) -> Iterator[Graph]:
-    yield from _connected_classes(n)
+    yield from (g for g, _ in _connected_classes(n))

@@ -24,7 +24,6 @@ __all__ = [
     "is_old_set",
     "is_locatable",
     "is_connected",
-    "connected_components",
     "induced_subgraph",
     "disjoint_union",
     "canonical_form",
@@ -267,15 +266,6 @@ def induced_subgraph(g: Graph, mask: VertexSet) -> tuple[Graph, tuple[int, ...]]
     return Graph(len(kept), rows), tuple(kept)
 
 
-def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """The components as standalone graphs, each with its label map.
-
-    Component order follows the least original vertex.  Each entry is
-    (component, kept) with kept as in :func:`induced_subgraph`.
-    """
-    return [induced_subgraph(g, mask) for mask in component_masks(g)]
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; g2's vertices are shifted up by g1.n."""
     shifted = tuple(row << g1.n for row in g2.adj)
@@ -364,8 +354,8 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     closed twins never share a vertex), and the swaps of consecutive
     members of each class generate all of its swaps, so these and the
     tied leaves generate the whole automorphism group.  The enumeration
-    asks for them for its parents only, to extend each parent once per
-    orbit of neighbourhoods.
+    keeps them with each class it labels, to extend that class once per
+    orbit of neighbourhoods when it becomes a parent.
     """
     try:
         return g._canon
@@ -381,17 +371,13 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     return cert
 
 
-def _canonical_labeling(
-    g: Graph, generators: bool = False
-) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     """g canonically relabeled, and generators of its automorphism group.
 
     The relabeled graph carries its certificate in the cache, so
     canonical_form on it does no second search.  A generator p maps
-    vertex i of the relabeled graph to p[i].  The generators are built
-    only when asked for; otherwise the search keeps no tied leaves and
-    the second entry is ().  Only the enumeration's parents need them.
-    No order limit applies; canonical_form holds that gate.
+    vertex i of the relabeled graph to p[i]; graphs of order <= 1 get
+    none.  No order limit applies; canonical_form holds that gate.
     """
     n = g.n
     adj = g.adj
@@ -406,8 +392,8 @@ def _canonical_labeling(
     cols = [0] * n
     best: list[int] | None = None
     best_perm: list[int] = []
-    # automorphisms of g in its own labels: images of 0..n-1 from tied leaves
-    tied: list[list[int]] = []
+    # automorphisms of g in its own labels, from tied leaves
+    tied: list[dict[int, int]] = []
     # bumped on every best improvement; lets an ancestor notice that the
     # current prefix now matches best exactly
     version = 0
@@ -419,13 +405,10 @@ def _canonical_labeling(
                 best = cols.copy()
                 best_perm = placed.copy()
                 version += 1
-            elif generators:
+            else:
                 # same matrix as best, so best_perm[i] -> placed[i] is an
                 # automorphism
-                image = [0] * n
-                for u, v in zip(best_perm, placed):
-                    image[u] = v
-                tied.append(image)
+                tied.append(dict(zip(best_perm, placed)))
             return
         want = slot_degs[slot]
         used = mask_of(placed)
@@ -468,9 +451,6 @@ def _canonical_labeling(
         for u in iter_bits(adj[v]):
             rows[slot] |= 1 << index[u]
     canon = tuple(rows)
-    labeled = _graph(n, canon, _g6_bytes(n, canon))
-    if not generators:
-        return labeled, ()
     gens = {tuple(index[image[v]] for v in best_perm) for image in tied}
     # each twin class's symmetric group, from the swaps of consecutive
     # members: u with the least twin above it
@@ -481,4 +461,4 @@ def _canonical_labeling(
             p = list(range(n))
             p[index[u]], p[index[v]] = index[v], index[u]
             gens.add(tuple(p))
-    return labeled, tuple(sorted(gens))
+    return _graph(n, canon, _g6_bytes(n, canon)), tuple(sorted(gens))

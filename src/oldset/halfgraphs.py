@@ -14,7 +14,8 @@ once; sorting each side by degree pins the only possible labeling, and
 one pass over the rows of the v side checks the i <= j edge law.  The
 degrees alone, two vertices of each degree 1..k per component, turn
 away most graphs before any structural pass.  A component is tested in
-place, on its vertex mask, without a copy of the subgraph.
+place, on its vertex mask, without a copy of the subgraph; recognize
+reads all its verdicts from one such pass over the components.
 
 Peeling inverts the growth step H_{k-1} -> H_k.  A peel step removes a
 pendant vertex y together with its unique neighbour x, provided some
@@ -25,7 +26,7 @@ H_1, a single edge.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graphs import (
     Graph,
@@ -134,6 +135,18 @@ def _labeling_within(g: Graph, comp: VertexSet) -> HalfGraphLabeling | None:
     return _labeling_for(g, v_side, w_side) or _labeling_for(g, w_side, v_side)
 
 
+def _component_labelings(
+    g: Graph,
+) -> Iterator[tuple[VertexSet, HalfGraphLabeling | None]]:
+    """Each component's mask, by least vertex, with its labeling or None.
+
+    _labeling_within decides a component alone (the w degrees must read
+    1..k, so an isolated vertex gets None); no degree gate runs first.
+    """
+    for comp in component_masks(g):
+        yield comp, _labeling_within(g, comp)
+
+
 def is_half_graph(g: Graph) -> HalfGraphLabeling | None:
     """The labeling of g as a half-graph, or None.
 
@@ -188,4 +201,4 @@ def is_union_of_half_graphs(g: Graph) -> bool:
     """
     if _half_graph_count(g) < 0:
         return False
-    return all(_labeling_within(g, m) is not None for m in component_masks(g))
+    return all(labeling is not None for _, labeling in _component_labelings(g))

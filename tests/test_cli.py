@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -13,8 +15,21 @@ from pathlib import Path
 import pytest
 
 import oldset
-from oldset import from_edges, half_graph, to_graph6
-from oldset.cli import main
+import oldset.cli
+import oldset.halfgraphs
+from oldset import (
+    Graph,
+    disjoint_union,
+    from_edges,
+    half_graph,
+    induced_subgraph,
+    is_connected,
+    is_half_graph,
+    is_union_of_half_graphs,
+    to_graph6,
+)
+from oldset.cli import _recognize_payload, main
+from oldset.graphs import component_masks
 
 
 def _run(capsys, *argv):
@@ -177,14 +192,95 @@ def test_recognize_rejects_k4(capsys):
 
 
 def test_recognize_disconnected_per_component(capsys):
-    from oldset import disjoint_union
-
     record = to_graph6(disjoint_union(half_graph(1), half_graph(2)))
     code, out, _ = _run(capsys, "recognize", record)
     assert code == 0
     assert "component [0, 1]: half-graph k=1" in out
     assert "component [2, 3, 4, 5]: half-graph k=2" in out
     assert "union of half-graphs: yes" in out
+
+
+def test_recognize_tests_each_component_once(capsys, monkeypatch):
+    calls = []
+    within = oldset.halfgraphs._labeling_within
+
+    def counted(g, comp):
+        calls.append(comp)
+        return within(g, comp)
+
+    monkeypatch.setattr(oldset.halfgraphs, "_labeling_within", counted)
+    # H_1 + H_2, then H_3: one test per component
+    for record, masks in [("E_Go", [0b11, 0b111100]), ("ECr_", [0b111111])]:
+        calls.clear()
+        code, out, _ = _run(capsys, "recognize", record)
+        assert code == 0 and "half-graph k=" in out
+        assert calls == masks
+
+
+def test_each_record_is_parsed_once(capsys, monkeypatch):
+    parsed = []
+    parse = oldset.cli.parse_graph6
+
+    def counted(record):
+        parsed.append(record)
+        return parse(record)
+
+    monkeypatch.setattr(oldset.cli, "parse_graph6", counted)
+    code, _, _ = _run(capsys, "solve", "A_", "DhC")
+    assert code == 0
+    assert parsed == ["A_", "DhC"]
+
+
+def _recognize_reference(g: Graph, record: str) -> dict:
+    """The recognize payload from standalone copies of the components.
+
+    Connectivity from is_connected, each verdict from is_half_graph on
+    an induced_subgraph copy (or on g itself), the union verdict from
+    is_union_of_half_graphs.
+    """
+    payload: dict = {"graph6": record, "n": g.n, "connected": is_connected(g)}
+    labeling = is_half_graph(g)
+    payload["half_graph"] = labeling is not None
+    if labeling is not None:
+        payload["k"] = labeling.k
+        payload["v_order"] = list(labeling.v_order)
+        payload["w_order"] = list(labeling.w_order)
+    if not payload["connected"]:
+        payload["components"] = []
+        for mask in component_masks(g):
+            component, kept = induced_subgraph(g, mask)
+            sub = is_half_graph(component)
+            entry: dict = {"vertices": list(kept), "half_graph": sub is not None}
+            if sub is not None:
+                entry["k"] = sub.k
+            payload["components"].append(entry)
+    payload["union_of_half_graphs"] = is_union_of_half_graphs(g)
+    return payload
+
+
+def _labeled_graphs(n: int):
+    slots = [(u, v) for v in range(n) for u in range(v)]
+    for bits in range(1 << len(slots)):
+        yield from_edges(n, [slot for i, slot in enumerate(slots) if bits >> i & 1])
+
+
+def _relabeled_half_graph_unions(rng: random.Random):
+    for a in range(1, 5):
+        for b in range(1, 5):
+            g = disjoint_union(half_graph(a), half_graph(b))
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                yield from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_recognize_payload_matches_the_component_copies():
+    graphs = [g for n in range(6) for g in _labeled_graphs(n)]
+    assert len(graphs) == 1100
+    graphs += _relabeled_half_graph_unions(random.Random(18))
+    for g in graphs:
+        record = to_graph6(g)
+        assert _recognize_payload(g, record) == _recognize_reference(g, record)
 
 
 def test_recognize_structured(capsys):
@@ -286,16 +382,41 @@ def test_verify_stream_with_explicit_order(tmp_path, capsys):
     assert "theorem holds: yes" in out
 
 
+_BAD_BYTE = "bad graph6 record '!!!': byte 33 outside the graph6 range 63..126"
+
+
 def test_verify_stream_reports_bad_records_without_aborting(capsys, tmp_path):
     path = tmp_path / "mixed.g6"
-    path.write_text("A_\n!!!\n")
+    path.write_text("A_\n\n!!!\n")
     code, out, _ = _run(
         capsys, "verify", "--stream", str(path), "--format", "structured"
     )
     assert code == 0  # theorem holds on the parsable record
     payload = json.loads(out)
     assert payload["graphs_scanned"] == 1
-    assert len(payload["record_errors"]) == 1
+    # the blank line counts in the record number
+    assert payload["record_errors"] == [f"record 3: {_BAD_BYTE}"]
+
+
+def _bench_inputs():
+    path = Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_stream_reads_stdin_as_it_reads_a_file(capsys, monkeypatch, tmp_path):
+    inputs = _bench_inputs()
+    text = "".join(inputs.graph6(adj) + "\n" for adj in inputs.stream_graphs(1))
+    path = tmp_path / "stream.g6"
+    path.write_text(text, encoding="ascii")
+    options = ["--n", "10", "--format", "structured"]
+    from_file = _run(capsys, "verify", "--stream", str(path), *options)
+    assert from_file[0] == 0 and json.loads(from_file[1])["graphs_scanned"] == 3000
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="ascii")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert _run(capsys, "verify", "--stream", "-", *options) == from_file
 
 
 @pytest.mark.parametrize("content", ["!!!\n", ""], ids=["all_bad", "empty"])
@@ -308,11 +429,7 @@ def test_verify_stream_without_parsable_records_exits_2(
     code, out, err = _run(capsys, "verify", "--stream", str(path), *order)
     assert code == 2
     assert out == ""
-    reasons = (
-        ["record 1: bad graph6 record '!!!': byte 33 outside the graph6 range 63..126"]
-        if content
-        else []
-    )
+    reasons = [f"record 1: {_BAD_BYTE}"] if content else []
     assert err.splitlines() == [*reasons, "stream contains no parsable records"]
 
 
@@ -430,7 +547,7 @@ _PUBLIC_NAMES = [
     "ForcedClassification", "Graph", "GraphFormatError", "HalfGraphLabeling",
     "HarnessReport", "MAX_BUILTIN_ORDER", "NotLocatableError", "PeelStep",
     "SolveResult", "VertexSet", "__version__", "bondy_check", "canonical_form",
-    "classify_forced", "connected_components", "disjoint_union",
+    "classify_forced", "disjoint_union",
     "domination_forced", "enumerate_connected_graphs", "from_edges",
     "half_graph", "induced_subgraph", "is_connected", "is_half_graph",
     "is_locatable", "is_old_set", "is_union_of_half_graphs", "iter_bits",
@@ -443,7 +560,7 @@ _PUBLIC_NAMES = [
 def test_package_reexports_each_module_all_once():
     from oldset import domination, enumeration, graph6, graphs, halfgraphs, harness
 
-    # a name listed twice would make this 41 entries
+    # a name listed twice would make this 40 entries
     assert sorted(oldset.__all__) == _PUBLIC_NAMES
     modules = [domination, enumeration, graph6, graphs, halfgraphs, harness]
     for name in oldset.__all__:

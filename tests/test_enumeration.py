@@ -216,7 +216,7 @@ def test_labeling_generators_are_automorphisms():
     graphs = list(_scrambled_small_graphs())
     graphs += _all_small_classes(7)
     for g in graphs:
-        canon, gens = _canonical_labeling(g, generators=True)
+        canon, gens = _canonical_labeling(g)
         for perm in gens:
             assert sorted(perm) == list(range(g.n))
             assert _is_automorphism(canon, perm)
@@ -224,7 +224,7 @@ def test_labeling_generators_are_automorphisms():
 
 def test_mask_orbits_match_brute_force_automorphisms():
     for g in _scrambled_small_graphs():
-        canon, gens = _canonical_labeling(g, generators=True)
+        canon, gens = _canonical_labeling(g)
         n = canon.n
         group = [p for p in permutations(range(n)) if _is_automorphism(canon, p)]
         orbits = {frozenset(_image(m, p) for p in group) for m in range(1 << n)}
@@ -241,7 +241,7 @@ def test_twin_classes_give_one_generator_per_consecutive_pair():
     for n in range(2, 11):
         complete = from_edges(n, combinations(range(n), 2))
         for g in (complete, Graph(n, [0] * n)):
-            assert len(_canonical_labeling(g, generators=True)[1]) == n - 1
+            assert len(_canonical_labeling(g)[1]) == n - 1
 
 
 def test_classes_through_order_8_are_pinned():
@@ -256,18 +256,11 @@ def test_classes_through_order_8_are_pinned():
     )
 
 
-def test_labeling_without_generators_gives_the_same_graph():
-    for g in _scrambled_small_graphs():
-        canon, gens = _canonical_labeling(g)
-        assert gens == ()
-        labeled = _canonical_labeling(g, generators=True)[0]
-        assert canon.adj == labeled.adj and canon._canon == labeled._canon
-
-
 def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     # building and labeling every orbit representative child would take
     # 4,159 builds and 4,303 labelings, and the degree-only filter on
-    # built children labeled 1,468, each building generators
+    # built children labeled 1,468; each class keeps the generators of
+    # the search that labeled it, so no parent is searched again
     built = []
     labeled = []
 
@@ -275,9 +268,9 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
         built.append(mask)
         return _extend(parent, mask)
 
-    def counted_labeling(g, generators=False):
-        labeled.append(generators)
-        return _canonical_labeling(g, generators)
+    def counted_labeling(g):
+        labeled.append(g.n)
+        return _canonical_labeling(g)
 
     _connected_classes.cache_clear()
     monkeypatch.setattr(oldset.enumeration, "_extend", counted_extend)
@@ -287,9 +280,9 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     finally:
         _connected_classes.cache_clear()
     assert len(built) == 1049
-    assert len(labeled) == 1193
-    # the parents of orders 1..6
-    assert labeled.count(True) == 143
+    # the built children plus K_1
+    assert len(labeled) == 1050
+    assert labeled.count(1) == 1
 
 
 def test_parent_side_filter_matches_the_rule_on_built_children():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 import pickle
 import random
 
@@ -10,10 +12,10 @@ from oldset import (
     CANONICAL_ORDER_LIMIT,
     Graph,
     canonical_form,
-    connected_components,
     disjoint_union,
     from_edges,
     half_graph,
+    induced_subgraph,
     is_connected,
     is_locatable,
     iter_bits,
@@ -21,6 +23,7 @@ from oldset import (
     open_twins,
     vertices_of,
 )
+from oldset.graphs import component_masks
 
 
 def _k(n: int) -> Graph:
@@ -162,9 +165,14 @@ def test_is_connected():
     assert is_connected(Graph(0, ()))
 
 
+def _components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
+    return [induced_subgraph(g, mask) for mask in component_masks(g)]
+
+
 def test_connected_components_union():
     g = disjoint_union(half_graph(2), half_graph(3))
-    parts = connected_components(g)
+    assert component_masks(g) == [0b1111, 0b1111110000]
+    parts = _components(g)
     assert [sub.n for sub, _ in parts] == [4, 6]
     assert canonical_form(parts[0][0]) == canonical_form(half_graph(2))
     assert canonical_form(parts[1][0]) == canonical_form(half_graph(3))
@@ -174,7 +182,14 @@ def test_connected_components_maps_compose_to_identity():
     rng = random.Random(11)
     for _ in range(25):
         g = _random_graph(rng, rng.randint(0, 8), 0.25)
-        parts = connected_components(g)
+        masks = component_masks(g)
+        # disjoint, covering, each connected, ordered by least vertex
+        assert sum(masks) == mask_of(range(g.n)) == functools.reduce(
+            operator.or_, masks, 0
+        )
+        assert masks == sorted(masks, key=lambda m: m & -m)
+        parts = _components(g)
+        assert all(is_connected(sub) for sub, _ in parts)
         assert sum(sub.n for sub, _ in parts) == g.n
         mapped = []
         for sub, kept in parts:
@@ -186,10 +201,12 @@ def test_connected_components_maps_compose_to_identity():
 
 def test_connected_components_trivial_cases():
     g = _k(3)
-    (sub, kept), = connected_components(g)
+    (sub, kept), = _components(g)
     assert sub == g and kept == (0, 1, 2)
     empty3 = from_edges(3, [])
-    assert [sub.n for sub, _ in connected_components(empty3)] == [1, 1, 1]
+    assert component_masks(empty3) == [1, 2, 4]
+    assert [sub.n for sub, _ in _components(empty3)] == [1, 1, 1]
+    assert component_masks(Graph(0, ())) == []
 
 
 def test_disjoint_union_shifts_second_graph():

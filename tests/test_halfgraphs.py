@@ -9,16 +9,17 @@ from oldset import (
     Graph,
     NotLocatableError,
     canonical_form,
-    connected_components,
     disjoint_union,
     enumerate_connected_graphs,
     from_edges,
     half_graph,
+    induced_subgraph,
     is_connected,
     is_half_graph,
     is_union_of_half_graphs,
     peel,
 )
+from oldset.graphs import component_masks
 
 
 def _k(n: int) -> Graph:
@@ -194,7 +195,11 @@ def _union_oracle(g: Graph) -> bool:
     """Every component C has the canonical form of H_{|C|/2}."""
     # a connected graph is its own component, and an enumerated class
     # keeps its cached certificate that way
-    components = [g] if is_connected(g) else [c for c, _ in connected_components(g)]
+    components = (
+        [g]
+        if is_connected(g)
+        else [induced_subgraph(g, mask)[0] for mask in component_masks(g)]
+    )
     return all(
         c.n % 2 == 0 and canonical_form(c, max_order=16) == _half_graph_cert(c.n // 2)
         for c in components
