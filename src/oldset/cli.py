@@ -240,7 +240,7 @@ def _cmd_verify(args) -> int:
                 f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}; "
                 "pass --stream for other orders"
             )
-        graphs = list(enumerate_connected_graphs(args.n))
+        graphs = enumerate_connected_graphs(args.n)
         n = args.n
     else:
         records = list(_parsed_lines(None if args.stream == "-" else args.stream))

@@ -1,50 +1,63 @@
 """Isomorph-free enumeration of small connected graphs.
 
 Connected classes of order n come from connected classes of order n - 1
-by adding one vertex joined to any nonempty set of the parent's
+by adding one vertex x joined to any nonempty set of the parent's
 vertices; such a child is connected because the parent is.  Every
 connected graph of order n >= 2 arises this way: it has a vertex whose
 deletion leaves it connected (a leaf of any spanning tree), and that
-vertex has a neighbour.  Duplicates are discarded through the canonical
-certificate, and representatives are returned canonically labeled, with
-that certificate cached, sorted by certificate, so the stream is
-deterministic.
+vertex has a neighbour.
 
-Each parent is extended once per orbit of neighbourhood masks under its
-automorphisms (McKay 1998, *Isomorph-free exhaustive generation*, J.
-Algorithms 26): masks m and p(m) for an automorphism p give children
-that p, extended by fixing the new vertex, maps onto each other.  The
-generators come from the search that labeled the parent as a child one
-order down, kept with its class, so no parent is searched twice.  A
-subgroup of the automorphism group would be enough for soundness,
-because its orbits only split the full ones and the certificate dict
-still drops every duplicate child; the search in fact yields the whole
-group, so each orbit is tried once.
+Each class is generated exactly once by canonical augmentation (McKay
+1998, *Isomorph-free exhaustive generation*, J. Algorithms 26, §3).
+The canonical deletion v* of a connected graph G of order >= 2 is its
+non-cut vertex that is greatest on (degree, sum of its neighbours'
+degrees), compared in that order, ties broken by the largest canonical
+label.  An isomorphism G -> H carries v*(G) into the orbit of v*(H):
+it preserves the invariants and cut-ness, and it is G's canonical
+labeling followed by an automorphism and by the inverse of H's.  A parent P is extended
+once per orbit of neighbourhood masks under its automorphisms: masks m
+and p(m) for an automorphism p give children that p, extended by fixing
+x, maps onto each other.  The child P + x is kept only when x lies in
+the orbit of v*.
 
-A child P + x is labeled only when no non-cut vertex u of it beats x
-on (degree, sum of its neighbours' degrees), compared in that order:
-the invariant test of the same canonical augmentation.  The test is
-decided on parent data, before the child exists.  With mask the
-neighbourhood of x, u's degree in the child is deg_P(u) plus one when
-u is in mask, and x's is |mask|; u's neighbour-degree sum grows by
-|N_P(u) & mask| and, when u is in mask, by |mask|, and x's is the sum
-of deg_P(w) + 1 over mask.  P + x - u is P - u with x joined to the
-components that mask meets, so u is a non-cut vertex of the child
-exactly when every component of P - u meets mask; the components are
-computed once per parent.  x itself is never a cut vertex, because the
-parent is connected.  Most children fail the test and are never built.
+Each class G arises: G - v* is connected, so it is isomorphic to a
+parent P, and the orbit representative of the image of v*'s
+neighbourhood gives a child isomorphic to G by a map that takes x to
+v*, so the child is kept.  It arises once: an isomorphism between two
+kept children carries x into the orbit of the other's v*, which holds
+the other's x, so followed by an automorphism it takes x to x.  What is
+left maps one parent onto the other, so they are the same class, hence
+the same representative, and it is an automorphism of that parent
+taking one mask to the other, so the two masks are the same orbit's
+one representative.  That last step needs
+the full automorphism group of every parent: the orbits of a subgroup
+split the full ones, and two masks of one split orbit would both be
+kept.  The labeling search yields the whole group (see
+graphs.canonical_form).
 
-No class is lost.  A connected graph G of order >= 2 has a non-cut
-vertex; let v be one that is greatest on (degree, neighbour-degree sum)
-among them.  G - v is connected, so it is a parent class, and the orbit
-representative of v's neighbourhood gives a child isomorphic to G whose
-new vertex maps to v.  Both invariants and cut-ness are preserved by
-isomorphism, so no non-cut vertex of that child beats its new vertex,
-and the child passes.  The children that pass can still be isomorphic,
-and the certificate dict drops those.  The test is invariant under the
-parent's automorphisms, which carry the child of a mask onto the child
-of its image with x fixed, so the accepted masks are a union of orbits
-and are reduced to orbit representatives after the test.
+Most children are decided without a labeling.  A child is rejected when
+a non-cut vertex u beats x on the invariants, and the test is decided
+on parent data, before the child exists.  With mask the neighbourhood
+of x, u's degree in the child is deg_P(u) plus one when u is in mask,
+and x's is |mask|; u's neighbour-degree sum grows by |N_P(u) & mask|
+and, when u is in mask, by |mask|, and x's is the sum of deg_P(w) + 1
+over mask.  P + x - u is P - u with x joined to the components that
+mask meets, so u is a non-cut vertex of the child exactly when every
+component of P - u meets mask; the components are computed once per
+parent.  x itself is never a cut vertex, because the parent is
+connected.  The test is invariant under the parent's automorphisms, so
+the passing masks are a union of orbits and are reduced to orbit
+representatives after it.  A passing child whose x ties no non-cut
+rival has v* = x, and one whose tied rivals u are all twins of x (N(u)
+- x = N(x) - u, so swapping u and x is an automorphism) has them all in
+x's orbit; both are kept unlabeled.  Only the rest are labeled, to find
+v* and the orbit of x.
+
+Parents are labeled once each, canonically, for their generators, and
+kept per order in generation order; a child labeled for the orbit rule
+keeps that labeling as a parent.  The classes of the order asked for
+are generated lazily in the same deterministic order, neither labeled
+nor cached: canonical_form labels one on demand.
 
 Counts through MAX_BUILTIN_ORDER match the standard tables: 1, 1, 2, 6,
 21, 112, 853, 11117 connected classes for n = 1..8.
@@ -63,6 +76,9 @@ MAX_BUILTIN_ORDER = 8
 
 # automorphism group generators, each a tuple of vertex images
 _Gens = tuple[tuple[int, ...], ...]
+# what graphs._canonical_labeling returns: the relabeled graph, its
+# generators and the canonical label of each input vertex
+_Labeling = tuple[Graph, _Gens, tuple[int, ...]]
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
@@ -73,12 +89,17 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return _graph(n, tuple(rows))
 
 
-def _accepted_masks(parent: Graph) -> list[int]:
-    """The nonempty masks, in increasing order, whose child passes the test.
+def _accepted_masks(parent: Graph) -> dict[int, int]:
+    """The nonempty masks whose child passes the test, in increasing
+    order, each mapped to the non-cut rivals that tie its new vertex.
 
     The test is the one in the module docstring, decided on the parent:
     the child P + x for mask is rejected when some non-cut vertex u of
-    it beats x on (degree, neighbour-degree sum).
+    it beats x on (degree, neighbour-degree sum), and u is a tied rival
+    when it equals x on both.  A non-cut vertex of P stays non-cut in
+    P + x unless mask is that vertex alone, so a mask of at least two
+    vertices but fewer than the largest degree of a non-cut vertex of P
+    is rejected before the rival loop.
     """
     m = parent.n
     adj = parent.adj
@@ -87,38 +108,50 @@ def _accepted_masks(parent: Graph) -> list[int]:
     deg_sums = [sum(deg[w] for w in iter_bits(row)) for row in adj]
     # components of P - u, for each u
     parts = [component_masks(parent, full ^ 1 << u) for u in range(m)]
+    top = max(deg[u] for u in range(m) if len(parts[u]) <= 1)
     # largest degree first, so that a rejection tends to come early
     order = sorted(range(m), key=lambda u: (-deg[u], -deg_sums[u]))
     # mask_deg[mask]: the parent degrees summed over mask
     mask_deg = [0] * (1 << m)
-    accepted = []
+    accepted = {}
     for mask in range(1, 1 << m):
         low = mask & -mask
         mask_deg[mask] = mask_deg[mask ^ low] + deg[low.bit_length() - 1]
         dx = mask.bit_count()
+        if 1 < dx < top:
+            continue
         sx = mask_deg[mask] + dx
+        ties = 0
         for u in order:
             inside = mask >> u & 1
             du = deg[u] + inside
-            if du < dx or du == dx and (
-                deg_sums[u] + (adj[u] & mask).bit_count() + inside * dx <= sx
-            ):
+            if du < dx:
                 continue
+            if du == dx:
+                su = deg_sums[u] + (adj[u] & mask).bit_count() + inside * dx
+                if su < sx:
+                    continue
+                if su == sx:
+                    if all(part & mask for part in parts[u]):
+                        ties |= 1 << u
+                    continue
             if all(part & mask for part in parts[u]):
                 break
         else:
-            accepted.append(mask)
+            accepted[mask] = ties
     return accepted
 
 
 def _orbit_representatives(masks: Iterable[int], gens: _Gens) -> Iterator[int]:
-    """The first mask of each orbit under the group gens generate.
+    """The first mask of each orbit under the group gens generate, among
+    masks.
 
-    masks must be closed under the group, and their order decides which
-    member of an orbit stands for it.  A union of orbits is closed, so
-    masks may be all nonempty masks or only those an invariant test
-    accepts; the accepted masks get the representatives they had among
-    all masks, in the same order.
+    The order of masks decides which member of an orbit stands for it.
+    A union of orbits holds every member, so masks may be all nonempty
+    masks or only those an invariant test accepts; the accepted masks
+    get the representatives they had among all masks, in the same
+    order.  Two singletons give one representative exactly when their
+    vertices share an orbit.
     """
     seen: set[int] = set()
     for mask in masks:
@@ -138,35 +171,64 @@ def _orbit_representatives(masks: Iterable[int], gens: _Gens) -> Iterator[int]:
                     stack.append(image)
 
 
+def _children(parent: Graph, gens: _Gens) -> Iterator[tuple[Graph, _Labeling | None]]:
+    """The children of parent that the orbit rule keeps, in mask order.
+
+    gens must generate the parent's full automorphism group.  Each child
+    comes with its labeling when the rule needed one, else None.
+    """
+    x = parent.n
+    accepted = _accepted_masks(parent)
+    for mask in _orbit_representatives(accepted, gens):
+        child = _extend(parent, mask)
+        ties = accepted[mask]
+        if all(parent.adj[u] == mask & ~(1 << u) for u in iter_bits(ties)):
+            # no rival, or only twins of x, which share its orbit
+            yield child, None
+            continue
+        labeling = _canonical_labeling(child)
+        _, child_gens, label = labeling
+        # v*: of x and its tied rivals, the largest canonical label
+        v_star = max(label[u] for u in iter_bits(ties | 1 << x))
+        pair = (1 << label[x], 1 << v_star)
+        if len(list(_orbit_representatives(pair, child_gens))) == 1:
+            yield child, labeling
+
+
+def _generate(n: int) -> Iterator[tuple[Graph, _Labeling | None]]:
+    """Each connected class of order n once, with its labeling if the
+    orbit rule needed one, in generation order."""
+    if n == 1:
+        yield _graph(1, (0,)), None
+        return
+    for parent, gens in _connected_classes(n - 1):
+        yield from _children(parent, gens)
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[tuple[Graph, _Gens], ...]:
-    """One canonical representative per connected class of order n, each
-    with its automorphism generators from the search that labeled it."""
-    if n == 1:
-        return (_canonical_labeling(_graph(1, (0,))),)
-    seen: dict[bytes, tuple[Graph, _Gens]] = {}
-    for parent, gens in _connected_classes(n - 1):
-        for mask in _orbit_representatives(_accepted_masks(parent), gens):
-            labeling = _canonical_labeling(_extend(parent, mask))
-            seen.setdefault(labeling[0]._canon, labeling)
-    return tuple(seen[cert] for cert in sorted(seen))
+    """The parents of order n + 1: one canonically labeled representative
+    per connected class of order n, in generation order, each with
+    generators of its full automorphism group."""
+    classes = []
+    for child, labeling in _generate(n):
+        canon, gens, _ = labeling or _canonical_labeling(child)
+        classes.append((canon, gens))
+    return tuple(classes)
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """Yield each connected isomorphism class of order n exactly once.
 
-    Representatives are canonically labeled, carry their certificate so
-    canonical_form on them is free, and stream in certificate order.
-    Only 1 <= n <= MAX_BUILTIN_ORDER is built in; larger orders are out
-    of scope for the exhaustive machinery.  The order is checked on the
-    call; the classes are built on the first next().
+    The stream is in a deterministic generation order.  Its graphs are
+    not canonically labeled and carry no certificate: canonical_form
+    computes one on demand.  Only 1 <= n <= MAX_BUILTIN_ORDER is built
+    in; larger orders are out of scope for the exhaustive machinery.
+    The order is checked on the call; the classes are built on the first
+    next(), and those of order n are never kept.
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_BUILTIN_ORDER}, got {n}"
         )
-    return _classes(n)
-
-
-def _classes(n: int) -> Iterator[Graph]:
-    yield from (g for g, _ in _connected_classes(n))
+    return (child for child, _ in _generate(n))

@@ -354,8 +354,9 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     closed twins never share a vertex), and the swaps of consecutive
     members of each class generate all of its swaps, so these and the
     tied leaves generate the whole automorphism group.  The enumeration
-    keeps them with each class it labels, to extend that class once per
-    orbit of neighbourhoods when it becomes a parent.
+    needs that whole group: it extends each parent once per orbit of
+    neighbourhoods, and a child that the orbit rule must decide is kept
+    only when its new vertex shares an orbit with the chosen deletion.
     """
     try:
         return g._canon
@@ -371,18 +372,22 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     return cert
 
 
-def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
-    """g canonically relabeled, and generators of its automorphism group.
+def _canonical_labeling(
+    g: Graph,
+) -> tuple[Graph, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """g canonically relabeled, generators of its automorphism group, and
+    the canonical label of each vertex of g.
 
     The relabeled graph carries its certificate in the cache, so
     canonical_form on it does no second search.  A generator p maps
     vertex i of the relabeled graph to p[i]; graphs of order <= 1 get
-    none.  No order limit applies; canonical_form holds that gate.
+    none.  Vertex v of g is vertex label[v] of the relabeled graph.  No
+    order limit applies; canonical_form holds that gate.
     """
     n = g.n
     adj = g.adj
     if n <= 1:
-        return _graph(n, adj, _g6_bytes(n, adj)), ()
+        return _graph(n, adj, _g6_bytes(n, adj)), (), tuple(range(n))
 
     degs = [row.bit_count() for row in adj]
     slot_degs = sorted(degs)
@@ -461,4 +466,5 @@ def _canonical_labeling(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
             p = list(range(n))
             p[index[u]], p[index[v]] = index[v], index[u]
             gens.add(tuple(p))
-    return _graph(n, canon, _g6_bytes(n, canon)), tuple(sorted(gens))
+    label = tuple(index[v] for v in range(n))
+    return _graph(n, canon, _g6_bytes(n, canon)), tuple(sorted(gens)), label

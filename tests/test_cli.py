@@ -10,6 +10,7 @@ import random
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,19 @@ def test_verify_order_7_has_no_extremal(capsys):
     code, out, _ = _run(capsys, "verify", "--n", "7")
     assert code == 0
     assert "extremal classes (gamma_OL = n): 0" in out
+
+
+def test_verify_elapsed_counts_the_enumeration(capsys, monkeypatch):
+    # a slow stand-in generator: its time belongs to the sweep's clock
+    def slow_enumeration(n):
+        time.sleep(0.2)
+        yield from_edges(2, [(0, 1)])
+
+    monkeypatch.setattr(oldset.cli, "enumerate_connected_graphs", slow_enumeration)
+    code, out, _ = _run(capsys, "verify", "--n", "2")
+    assert code == 0
+    elapsed = float(out.rsplit("elapsed: ", 1)[1].rstrip().rstrip("s"))
+    assert elapsed >= 0.2
 
 
 def test_verify_structured_byte_stable(capsys):

@@ -20,6 +20,7 @@ from oldset import (
 import oldset.enumeration
 from oldset.enumeration import (
     _accepted_masks,
+    _children,
     _connected_classes,
     _extend,
     _orbit_representatives,
@@ -128,12 +129,20 @@ def test_representatives_are_connected_distinct_and_canonical():
         for g in enumerate_connected_graphs(n):
             assert g.n == n
             assert is_connected(g)
-            cert = canonical_form(g)
-            assert to_graph6(g).encode("ascii") == cert
-            # the cached certificate is the one a fresh search finds
-            assert canonical_form(Graph(n, g.adj)) == cert
-            certs.add(cert)
+            certs.add(canonical_form(g))
         assert len(certs) == CONNECTED_COUNTS[n]
+        # every parent is canonically labeled, with generators that are
+        # automorphisms, one per class
+        parents = _connected_classes(n)
+        for parent, gens in parents:
+            cert = canonical_form(parent)
+            assert to_graph6(parent).encode("ascii") == cert
+            # the cached certificate is the one a fresh search finds
+            assert canonical_form(Graph(n, parent.adj)) == cert
+            for perm in gens:
+                assert sorted(perm) == list(range(n))
+                assert _is_automorphism(parent, perm)
+        assert {canonical_form(parent) for parent, _ in parents} == certs
 
 
 def test_canonical_form_separates_all_small_classes():
@@ -216,7 +225,11 @@ def test_labeling_generators_are_automorphisms():
     graphs = list(_scrambled_small_graphs())
     graphs += _all_small_classes(7)
     for g in graphs:
-        canon, gens = _canonical_labeling(g)
+        canon, gens, label = _canonical_labeling(g)
+        # vertex v of g is vertex label[v] of canon
+        assert sorted(label) == list(range(g.n))
+        for v in range(g.n):
+            assert canon.adj[label[v]] == _image(g.adj[v], label)
         for perm in gens:
             assert sorted(perm) == list(range(g.n))
             assert _is_automorphism(canon, perm)
@@ -224,7 +237,7 @@ def test_labeling_generators_are_automorphisms():
 
 def test_mask_orbits_match_brute_force_automorphisms():
     for g in _scrambled_small_graphs():
-        canon, gens = _canonical_labeling(g)
+        canon, gens, _ = _canonical_labeling(g)
         n = canon.n
         group = [p for p in permutations(range(n)) if _is_automorphism(canon, p)]
         orbits = {frozenset(_image(m, p) for p in group) for m in range(1 << n)}
@@ -245,22 +258,38 @@ def test_twin_classes_give_one_generator_per_consecutive_pair():
 
 
 def test_classes_through_order_8_are_pinned():
-    # every representative with its labels and certificate; filtering
-    # children must not change which one stands for a class
+    # every representative with its labels and certificate, in
+    # generation order; filtering children must not change which one
+    # stands for a class, or where it comes in the stream
     digest = hashlib.sha256()
     for n in range(1, 9):
         for g in enumerate_connected_graphs(n):
             digest.update(repr((g.n, g.adj, canonical_form(g))).encode())
     assert digest.hexdigest() == (
-        "ebce041e708b3556d5efbe91d8e1782f59e98d56d768f5fa8f6bbe8e8319a335"
+        "f2f046de8ab9bf656653e4b73262deb3c2caf6782c4dff461558ed321c55ba93"
+    )
+
+
+def test_certificates_through_order_8_are_pinned():
+    # the classes alone, free of labels and stream order: the sorted
+    # certificates of each order
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for cert in sorted(canonical_form(g) for g in enumerate_connected_graphs(n)):
+            digest.update(cert + b"\n")
+    assert digest.hexdigest() == (
+        "47b587cc91301367ac2c835c31273c04b0caa8594982a7be3254b2e95008172e"
     )
 
 
 def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     # building and labeling every orbit representative child would take
     # 4,159 builds and 4,303 labelings, and the degree-only filter on
-    # built children labeled 1,468; each class keeps the generators of
-    # the search that labeled it, so no parent is searched again
+    # built children labeled 1,468; dropping duplicates by certificate
+    # labeled all 1,049 built children.  The orbit rule labels only the
+    # 143 parents of order <= 6 and the children whose new vertex ties
+    # a rival that is not its twin, and a labeled child that is kept
+    # keeps its labeling as a parent
     built = []
     labeled = []
 
@@ -280,9 +309,10 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     finally:
         _connected_classes.cache_clear()
     assert len(built) == 1049
-    # the built children plus K_1
-    assert len(labeled) == 1050
+    assert len(labeled) == 359
     assert labeled.count(1) == 1
+    # the swept order is labeled only where the rule needs it
+    assert labeled.count(7) == 214
 
 
 def test_parent_side_filter_matches_the_rule_on_built_children():
@@ -306,6 +336,55 @@ def test_parent_side_filter_matches_the_rule_on_built_children():
                 checked += 1
     # every nonempty mask of every parent of order 1..6
     assert checked == sum(CONNECTED_COUNTS[m] * ((1 << m) - 1) for m in range(1, 7))
+
+
+def _orbit_rule(child: Graph) -> bool:
+    """The orbit rule on a built child, from its own labeling.
+
+    v* is the non-cut vertex greatest on (degree, neighbour-degree sum),
+    ties broken by the largest canonical label; the rule keeps the child
+    when its new vertex lies in v*'s orbit.
+    """
+    n = child.n
+    full = (1 << n) - 1
+    _, gens, label = _canonical_labeling(child)
+    deg = [row.bit_count() for row in child.adj]
+
+    def rank(v):
+        return deg[v], sum(deg[w] for w in iter_bits(child.adj[v]))
+
+    non_cut = [v for v in range(n) if len(component_masks(child, full ^ 1 << v)) <= 1]
+    best = max(rank(v) for v in non_cut)
+    v_star = max((v for v in non_cut if rank(v) == best), key=lambda v: label[v])
+    orbit = {label[n - 1]}
+    frontier = list(orbit)
+    while frontier:
+        v = frontier.pop()
+        for perm in gens:
+            if perm[v] not in orbit:
+                orbit.add(perm[v])
+                frontier.append(perm[v])
+    return label[v_star] in orbit
+
+
+def test_unlabeled_verdicts_match_the_orbit_rule():
+    # every orbit representative child of every parent of order 1..6,
+    # kept or not, against the rule on the labeled child
+    for m in range(1, 7):
+        certs = []
+        unlabeled = 0
+        for parent, gens in _connected_classes(m):
+            kept = set()
+            for child, labeling in _children(parent, gens):
+                kept.add(child.adj)
+                unlabeled += labeling is None
+                certs.append(canonical_form(child))
+            for mask in _orbit_representatives(range(1, 1 << m), gens):
+                child = _extend(parent, mask)
+                assert (child.adj in kept) == _orbit_rule(child)
+        assert len(set(certs)) == len(certs) == CONNECTED_COUNTS[m + 1]
+    # most kept children need no labeling: at order 7, 691 of 853
+    assert unlabeled == 691
 
 
 def test_cut_vertices_match_networkx_articulation_points():
