@@ -53,26 +53,26 @@ rival has v* = x, and one whose tied rivals u are all twins of x (N(u)
 x's orbit; both are kept unlabeled.  Only the rest are labeled, to find
 v* and the orbit of x.
 
-Parents are labeled once each, canonically, for their generators, and
-kept per order in generation order; a child labeled for the orbit rule
-keeps that labeling as a parent.  The classes of the order asked for
-are generated lazily in the same deterministic order, neither labeled
-nor cached: canonical_form labels one on demand.
+The classes are walked depth first from K_1, so memory holds one path
+of parents, not whole orders: each kept child below the order asked
+for is labeled once, canonically, for its generators (a child labeled
+for the orbit rule keeps that labeling), and walked before its next
+sibling.  The order asked for is yielded unlabeled, in a deterministic
+generation order: canonical_form labels a class on demand.
 
 Counts through MAX_BUILTIN_ORDER match the standard tables: 1, 1, 2, 6,
-21, 112, 853, 11117 connected classes for n = 1..8.
+21, 112, 853, 11117, 261080 connected classes for n = 1..9.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .graphs import Graph, _canonical_labeling, _graph, component_masks, iter_bits
 
 __all__ = ["MAX_BUILTIN_ORDER", "enumerate_connected_graphs"]
 
-MAX_BUILTIN_ORDER = 8
+MAX_BUILTIN_ORDER = 9
 
 # automorphism group generators, each a tuple of vertex images
 _Gens = tuple[tuple[int, ...], ...]
@@ -195,26 +195,16 @@ def _children(parent: Graph, gens: _Gens) -> Iterator[tuple[Graph, _Labeling | N
             yield child, labeling
 
 
-def _generate(n: int) -> Iterator[tuple[Graph, _Labeling | None]]:
-    """Each connected class of order n once, with its labeling if the
-    orbit rule needed one, in generation order."""
-    if n == 1:
-        yield _graph(1, (0,)), None
-        return
-    for parent, gens in _connected_classes(n - 1):
-        yield from _children(parent, gens)
-
-
-@lru_cache(maxsize=None)
-def _connected_classes(n: int) -> tuple[tuple[Graph, _Gens], ...]:
-    """The parents of order n + 1: one canonically labeled representative
-    per connected class of order n, in generation order, each with
-    generators of its full automorphism group."""
-    classes = []
-    for child, labeling in _generate(n):
-        canon, gens, _ = labeling or _canonical_labeling(child)
-        classes.append((canon, gens))
-    return tuple(classes)
+def _walk(parent: Graph, gens: _Gens, n: int) -> Iterator[Graph]:
+    """Each connected class of order n that descends from parent, in
+    generation order; gens must generate parent's full automorphism
+    group.  A kept child below order n is labeled and walked in turn."""
+    for child, labeling in _children(parent, gens):
+        if child.n == n:
+            yield child
+        else:
+            canon, child_gens, _ = labeling or _canonical_labeling(child)
+            yield from _walk(canon, child_gens, n)
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
@@ -224,11 +214,12 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     not canonically labeled and carry no certificate: canonical_form
     computes one on demand.  Only 1 <= n <= MAX_BUILTIN_ORDER is built
     in; larger orders are out of scope for the exhaustive machinery.
-    The order is checked on the call; the classes are built on the first
-    next(), and those of order n are never kept.
+    The order is checked on the call; the walk starts on the first
+    next().
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_BUILTIN_ORDER}, got {n}"
         )
-    return (child for child, _ in _generate(n))
+    k1 = _graph(1, (0,))
+    return _walk(k1, (), n) if n > 1 else iter((k1,))

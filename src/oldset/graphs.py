@@ -450,6 +450,7 @@ def _canonical_labeling(
         return
 
     descend(0, False)
+    del descend  # its closure cell refers to it: one reference cycle a call
     index = {v: slot for slot, v in enumerate(best_perm)}
     rows = [0] * n
     for slot, v in enumerate(best_perm):

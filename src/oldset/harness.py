@@ -35,9 +35,10 @@ finding (an order mismatch, an extremal or exactly solved graph, a
 violation).  The labeling search is exponential and would otherwise run
 on every input graph to key rows that are then dropped.
 
-The sweep cuts its input into chunks of _CHUNK graphs, and each chunk
-returns its counts and only its named rows.  More than one job is an
-upper bound, not a promise of a pool: a sweep forks only when it has
+The sweep pulls its input in chunks of _CHUNK graphs as it goes (in
+process it holds one at a time; a pool is handed them all), and each
+chunk returns its counts and only its named rows.  More than one job is
+an upper bound, not a promise of a pool: a sweep forks only when it has
 more than one chunk, a rule on the input's size alone, so one input
 always takes the same path.  A short stream of costly graphs therefore
 runs in process.
@@ -48,7 +49,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from itertools import repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .domination import classify_forced, old_number
@@ -251,20 +252,23 @@ def run_harness(
     vertex can never be dropped.  Only graphs that this certificate or
     half-graph recognition calls extremal are solved exactly, and only
     graphs that land in a report list get a canonical certificate.
-    The input is examined in chunks of _CHUNK graphs, and jobs > 1
-    allows a process pool of min(jobs, CPU count, chunks) workers: a
-    sweep of at most _CHUNK graphs runs in process however costly its
+    The input is pulled in chunks of _CHUNK graphs as the sweep goes,
+    and jobs > 1 allows a pool of min(jobs, CPU count, chunks) workers:
+    a sweep of at most _CHUNK graphs runs in process however costly its
     graphs are.  The path cannot change the report.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
     started = time.perf_counter()
-    batch = list(graphs)
-    starts = range(0, len(batch), _CHUNK)
-    work = (repeat(n), starts, [batch[i : i + _CHUNK] for i in starts])
+    graphs = iter(graphs)
+    chunks = iter(lambda: list(islice(graphs, _CHUNK)), [])
     # the pool forks every worker on its first task, so never ask for
-    # more than there are cores, or chunks to hand out
-    workers = min(jobs, os.cpu_count() or 1, len(starts))
+    # more than there are cores, or chunks to hand out: peek at that
+    # many, reversed so that each is popped, and freed, as the sweep takes it
+    peeked = list(islice(chunks, min(jobs, os.cpu_count() or 1)))[::-1]
+    workers = len(peeked)
+    ahead = (peeked.pop() for _ in range(workers))
+    work = (repeat(n), count(0, _CHUNK), chain(ahead, chunks))
     if workers > 1:
         # imported here: a sweep that never forks should not pay for it
         from concurrent.futures import ProcessPoolExecutor

@@ -21,7 +21,6 @@ import oldset.enumeration
 from oldset.enumeration import (
     _accepted_masks,
     _children,
-    _connected_classes,
     _extend,
     _orbit_representatives,
 )
@@ -123,7 +122,24 @@ def test_counts_match_burnside_oracle():
         assert _burnside_connected_count(n) == CONNECTED_COUNTS[n]
 
 
+def _walked_parents(n: int) -> dict[int, list[tuple[Graph, tuple]]]:
+    """The parents that the walk to order n extends, by order, each with
+    the generators it is extended by, in the order the walk reaches them."""
+    parents: dict[int, list[tuple[Graph, tuple]]] = {}
+
+    def recorded(parent, gens):
+        parents.setdefault(parent.n, []).append((parent, gens))
+        return _children(parent, gens)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oldset.enumeration, "_children", recorded)
+        for _ in enumerate_connected_graphs(n):
+            pass
+    return parents
+
+
 def test_representatives_are_connected_distinct_and_canonical():
+    walked = _walked_parents(8)
     for n in range(1, 8):
         certs = set()
         for g in enumerate_connected_graphs(n):
@@ -133,7 +149,8 @@ def test_representatives_are_connected_distinct_and_canonical():
         assert len(certs) == CONNECTED_COUNTS[n]
         # every parent is canonically labeled, with generators that are
         # automorphisms, one per class
-        parents = _connected_classes(n)
+        parents = walked[n]
+        assert len(parents) == CONNECTED_COUNTS[n]
         for parent, gens in parents:
             cert = canonical_form(parent)
             assert to_graph6(parent).encode("ascii") == cert
@@ -171,7 +188,7 @@ def test_canonical_form_separates_all_small_classes():
 
 def test_rejects_out_of_range_orders():
     # the call itself raises, before anything iterates it
-    for bad in (0, 9, -1):
+    for bad in (0, 10, -1):
         with pytest.raises(ValueError, match="built-in enumeration covers"):
             enumerate_connected_graphs(bad)
 
@@ -287,9 +304,9 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     # 4,159 builds and 4,303 labelings, and the degree-only filter on
     # built children labeled 1,468; dropping duplicates by certificate
     # labeled all 1,049 built children.  The orbit rule labels only the
-    # 143 parents of order <= 6 and the children whose new vertex ties
-    # a rival that is not its twin, and a labeled child that is kept
-    # keeps its labeling as a parent
+    # 142 parents of order 2..6 (the walk starts from K_1 as it is) and
+    # the children whose new vertex ties a rival that is not its twin,
+    # and a labeled child that is kept keeps its labeling as a parent
     built = []
     labeled = []
 
@@ -301,16 +318,12 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
         labeled.append(g.n)
         return _canonical_labeling(g)
 
-    _connected_classes.cache_clear()
     monkeypatch.setattr(oldset.enumeration, "_extend", counted_extend)
     monkeypatch.setattr(oldset.enumeration, "_canonical_labeling", counted_labeling)
-    try:
-        assert len(list(enumerate_connected_graphs(7))) == 853
-    finally:
-        _connected_classes.cache_clear()
+    assert len(list(enumerate_connected_graphs(7))) == 853
     assert len(built) == 1049
-    assert len(labeled) == 359
-    assert labeled.count(1) == 1
+    assert len(labeled) == 358
+    assert labeled.count(1) == 0
     # the swept order is labeled only where the rule needs it
     assert labeled.count(7) == 214
 
@@ -370,10 +383,11 @@ def _orbit_rule(child: Graph) -> bool:
 def test_unlabeled_verdicts_match_the_orbit_rule():
     # every orbit representative child of every parent of order 1..6,
     # kept or not, against the rule on the labeled child
+    walked = _walked_parents(7)
     for m in range(1, 7):
         certs = []
         unlabeled = 0
-        for parent, gens in _connected_classes(m):
+        for parent, gens in walked[m]:
             kept = set()
             for child, labeling in _children(parent, gens):
                 kept.add(child.adj)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import operator
 import pickle
 import random
@@ -13,6 +14,7 @@ from oldset import (
     Graph,
     canonical_form,
     disjoint_union,
+    enumerate_connected_graphs,
     from_edges,
     half_graph,
     induced_subgraph,
@@ -23,7 +25,7 @@ from oldset import (
     open_twins,
     vertices_of,
 )
-from oldset.graphs import component_masks
+from oldset.graphs import _canonical_labeling, component_masks
 
 
 def _k(n: int) -> Graph:
@@ -255,3 +257,17 @@ def test_canonical_form_respects_order_limit():
 def test_canonical_form_of_order_zero_and_one():
     assert canonical_form(Graph(0, ())) == b"?"
     assert canonical_form(from_edges(1, [])) == b"@"
+
+
+def test_labeling_leaves_no_cyclic_garbage():
+    # with the collector off, what gc.collect() finds is exactly what
+    # the labelings left in reference cycles
+    graphs = list(enumerate_connected_graphs(7))
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            _canonical_labeling(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -444,6 +444,33 @@ def test_a_sweep_forks_by_its_size_alone(monkeypatch):
     assert sizes == [2, 2, 2]
 
 
+def test_the_sweep_pulls_its_input_one_chunk_at_a_time(monkeypatch):
+    # the input is read as the sweep goes, never more than the chunk
+    # being examined ahead of it
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 3)
+    graphs = list(enumerate_connected_graphs(5))  # 21 graphs, 7 chunks
+    pulled = 0
+
+    def counted():
+        nonlocal pulled
+        for g in graphs:
+            pulled += 1
+            yield g
+
+    ahead = []
+    sweep = oldset.harness._sweep
+
+    def watched(n, start, chunk):
+        ahead.append(pulled - start)
+        return sweep(n, start, chunk)
+
+    monkeypatch.setattr(oldset.harness, "_sweep", watched)
+    report = run_harness(counted(), 5, jobs=1)
+    assert report.graphs_scanned == 21
+    assert ahead == [3] * 7
+    assert report.to_json() == run_harness(graphs, 5).to_json()
+
+
 def _no_pool(max_workers):
     raise AssertionError("a cheap sweep started a process pool")
 
