@@ -19,7 +19,7 @@ from oldset import enumerate_connected_graphs, run_harness
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-n", type=int, default=8, choices=range(2, 10),
+    ap.add_argument("--max-n", type=int, default=8, choices=range(2, 11),
                     help="largest order to sweep (default 8)")
     ap.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = ap.parse_args()

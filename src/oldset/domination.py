@@ -16,16 +16,18 @@ E(G) is {v}, so V - v still meets them all.
 Both solvers return the same gamma and the same witness: the OLD set of
 minimum size whose mask is numerically least.  The brute-force solver
 guarantees this by scanning each cardinality in ascending mask order.
-The branch-and-bound solver settles it in its one search.  Its
-incumbent is the least OLD set seen so far, by size and then by mask.
-The children of a node split the sets below it by the least allowed
-vertex they take from the branched member, so every set below a node
-lies below exactly one child.  A node is cut when its chosen size plus
-its packing bound exceeds the incumbent's size, or equals it while the
-chosen mask is at least the incumbent's.  This tie rule is sound: while
-a member is unmet, every set below the node strictly contains the
-chosen set, so its mask is larger, and with none unmet the chosen set
-is the only one below.
+The branch-and-bound solver settles it in its one search, over every
+member of E(G): filtering out the members that contain another would
+change nothing (see old_number).  Its incumbent is the least OLD set
+seen so far, by size and then by mask.  The children of a node split
+the sets below it by the least allowed vertex they take from the
+branched member, so every set below a node lies below exactly one
+child.  A node is cut when its chosen size plus its packing bound
+exceeds the incumbent's size, or equals it while the chosen mask is at
+least the incumbent's.  This tie rule is sound: while a member is
+unmet, every set below the node strictly contains the chosen set, so
+its mask is larger, and with none unmet the chosen set is the only one
+below.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .graphs import (
     VertexSet,
     is_locatable,
     is_old_set,
-    iter_bits,
     mask_of,
     vertices_of,
 )
@@ -173,13 +174,22 @@ def old_number(g: Graph) -> SolveResult:
     E(G) holds every N(v) and every N(x) xor N(y), x < y.  Its
     singleton members name the forced vertices, which are committed up
     front, and the incumbent starts at the whole vertex set.  The
-    search keeps the inclusion-minimal members the chosen set does not
-    meet yet and branches on the one with the fewest allowed vertices
+    search keeps the members the chosen set does not meet yet, in
+    ascending (size, mask) order, cut to the vertices it allows, and
+    branches on the one with the fewest allowed vertices
     u_1 < ... < u_k, ties to the largest mask, in disjoint children:
     take u_1; or ban u_1 and take u_2; and so on.
-    A greedy packing of pairwise disjoint unmet members bounds how many
-    vertices are still to come.  When every vertex is forced the root
-    is immediately optimal (one node explored).
+    A greedy packing of pairwise disjoint unmet members, in that order,
+    bounds how many vertices are still to come.  When every vertex is
+    forced the root is immediately optimal (one node explored).
+
+    A member e that contains another member f changes no node, bound or
+    witness, so E(G) is searched as built.  f comes before e, and every
+    ban keeps both the order and f inside e.  The packing never takes
+    e: if f was packed, e meets it, and if not, f met an earlier packed
+    member, and so does e.  The branch rule takes e only when it has no
+    more allowed vertices than f, that is when the two are cut to the
+    same mask.
     """
     _require_locatable(g)
     n = g.n
@@ -196,29 +206,17 @@ def old_number(g: Graph) -> SolveResult:
         for y in range(x + 1, n)
         if adj[x] & adj[y]
     )
-    # a subset of e has its least vertex in e, so only those buckets
-    # can hold one, and ascending size puts every subset before e; the
-    # singletons come first, so forced is whole before any other member
     forced = 0
-    by_least: list[list[VertexSet]] = [[] for _ in range(n)]
-    minimal = []
-    for e in sorted(members, key=lambda e: (e.bit_count(), e)):
+    for e in members:
         if e & (e - 1) == 0:  # {v}: v is forced
             forced |= e
-            continue
-        if e & forced or any(
-            f & e == f for v in iter_bits(e) for f in by_least[v]
-        ):
-            continue
-        by_least[(e & -e).bit_length() - 1].append(e)
-        minimal.append(e)
 
     best = (1 << n) - 1
     best_size = n
     nodes = 0
     # a node is its chosen set, the vertices it bans on top of its
     # parent's, and the parent's unmet members cut to what it allows
-    stack = [(forced, 0, minimal)]
+    stack = [(forced, 0, sorted(members, key=lambda e: (e.bit_count(), e)))]
     while stack:
         chosen, ban, unmet = stack.pop()
         nodes += 1

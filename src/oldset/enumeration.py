@@ -60,8 +60,9 @@ for the orbit rule keeps that labeling), and walked before its next
 sibling.  The order asked for is yielded unlabeled, in a deterministic
 generation order: canonical_form labels a class on demand.
 
-Counts through MAX_BUILTIN_ORDER match the standard tables: 1, 1, 2, 6,
-21, 112, 853, 11117, 261080 connected classes for n = 1..9.
+Counts through MAX_BUILTIN_ORDER match the standard tables (OEIS
+A001349): 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571 connected
+classes for n = 1..10.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .graphs import Graph, _canonical_labeling, _graph, component_masks, iter_bi
 
 __all__ = ["MAX_BUILTIN_ORDER", "enumerate_connected_graphs"]
 
-MAX_BUILTIN_ORDER = 9
+MAX_BUILTIN_ORDER = 10
 
 # automorphism group generators, each a tuple of vertex images
 _Gens = tuple[tuple[int, ...], ...]
@@ -204,6 +205,7 @@ def _walk(parent: Graph, gens: _Gens, n: int) -> Iterator[Graph]:
             yield child
         else:
             canon, child_gens, _ = labeling or _canonical_labeling(child)
+            # child_gens name canon's vertices, and canon fixes the walk order
             yield from _walk(canon, child_gens, n)
 
 
@@ -211,9 +213,9 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """Yield each connected isomorphism class of order n exactly once.
 
     The stream is in a deterministic generation order.  Its graphs are
-    not canonically labeled and carry no certificate: canonical_form
-    computes one on demand.  Only 1 <= n <= MAX_BUILTIN_ORDER is built
-    in; larger orders are out of scope for the exhaustive machinery.
+    not canonically labeled: canonical_form computes a certificate on
+    demand.  Only 1 <= n <= MAX_BUILTIN_ORDER is built in; larger
+    orders are out of scope for the exhaustive machinery.
     The order is checked on the call; the walk starts on the first
     next().
     """

@@ -64,7 +64,7 @@ class Graph:
     isomorphism).
     """
 
-    __slots__ = ("n", "adj", "_canon")
+    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[VertexSet, ...]
@@ -92,9 +92,9 @@ class Graph:
 
     def __reduce__(self):
         # immutability guard breaks slot-based pickling; rebuild instead,
-        # unvalidated and with any cached certificate: only the package's
-        # own process-pool workers unpickle these bytes
-        return (_graph, (self.n, self.adj, getattr(self, "_canon", None)))
+        # unvalidated: only the package's own process-pool workers
+        # unpickle these bytes
+        return (_graph, (self.n, self.adj))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -122,8 +122,8 @@ class Graph:
         ]
 
 
-def _graph(n: int, adj: tuple[VertexSet, ...], canon: bytes | None = None) -> Graph:
-    """Trusted constructor: no validation, optionally a cached certificate.
+def _graph(n: int, adj: tuple[VertexSet, ...]) -> Graph:
+    """Trusted constructor: no validation.
 
     Only for rows built inside the package, which are symmetric, loopless
     and in range by construction (the graph6 decoder's too); other
@@ -132,8 +132,6 @@ def _graph(n: int, adj: tuple[VertexSet, ...], canon: bytes | None = None) -> Gr
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adj", adj)
-    if canon is not None:
-        object.__setattr__(g, "_canon", canon)
     return g
 
 
@@ -345,6 +343,7 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     found so far and pruning as soon as the prefix is beaten.  Vertices
     interchangeable by a transposition (twins) are tried once per
     position.  Raises ValueError beyond max_order rather than stalling.
+    Nothing is cached on g: each call searches afresh.
 
     Along the way the search proves automorphisms: a leaf that ties the
     best certificate differs from the best leaf by one.  Pruned subtrees
@@ -358,18 +357,13 @@ def canonical_form(g: Graph, max_order: int = CANONICAL_ORDER_LIMIT) -> bytes:
     neighbourhoods, and a child that the orbit rule must decide is kept
     only when its new vertex shares an orbit with the chosen deletion.
     """
-    try:
-        return g._canon
-    except AttributeError:
-        pass
     if g.n > max_order:
         raise ValueError(
             f"canonical_form on order {g.n} exceeds max_order={max_order}; "
             "raise max_order to opt in"
         )
-    cert = _canonical_labeling(g)[0]._canon
-    object.__setattr__(g, "_canon", cert)
-    return cert
+    canon = _canonical_labeling(g)[0]
+    return _g6_bytes(canon.n, canon.adj)
 
 
 def _canonical_labeling(
@@ -378,16 +372,15 @@ def _canonical_labeling(
     """g canonically relabeled, generators of its automorphism group, and
     the canonical label of each vertex of g.
 
-    The relabeled graph carries its certificate in the cache, so
-    canonical_form on it does no second search.  A generator p maps
-    vertex i of the relabeled graph to p[i]; graphs of order <= 1 get
-    none.  Vertex v of g is vertex label[v] of the relabeled graph.  No
-    order limit applies; canonical_form holds that gate.
+    A generator p maps vertex i of the relabeled graph to p[i]; graphs
+    of order <= 1 get none.  Vertex v of g is vertex label[v] of the
+    relabeled graph.  No order limit applies; canonical_form holds that
+    gate.
     """
     n = g.n
     adj = g.adj
     if n <= 1:
-        return _graph(n, adj, _g6_bytes(n, adj)), (), tuple(range(n))
+        return g, (), tuple(range(n))
 
     degs = [row.bit_count() for row in adj]
     slot_degs = sorted(degs)
@@ -468,4 +461,4 @@ def _canonical_labeling(
             p[index[u]], p[index[v]] = index[v], index[u]
             gens.add(tuple(p))
     label = tuple(index[v] for v in range(n))
-    return _graph(n, canon, _g6_bytes(n, canon)), tuple(sorted(gens)), label
+    return _graph(n, canon), tuple(sorted(gens)), label

@@ -383,7 +383,7 @@ def test_verify_structured_byte_stable(capsys):
 def test_verify_usage_errors(capsys):
     code, _, err = _run(capsys, "verify")
     assert code == 1
-    code, _, err = _run(capsys, "verify", "--n", "10")
+    code, _, err = _run(capsys, "verify", "--n", "11")
     assert code == 1
     assert "--stream" in err
 

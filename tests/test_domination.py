@@ -147,8 +147,19 @@ def test_branch_and_bound_all_forced_fast_path(g):
         pytest.param("KhCGGC@?G?o@", 8, [0, 1, 2, 3, 6, 7, 8, 9], 37, id="C12"),
         pytest.param("IheA@GUAo", 5, [0, 1, 2, 3, 4], 44, id="Petersen"),
         pytest.param("DBg", 4, [0, 1, 3, 4], 5, id="DBg"),
-        # the search meets {3, 4, 5} first; the tie rule must replace it
+        # the search meets {3, 4, 5} first; the tie rule must replace it.
+        # 3 members of its E(G) contain another member
         pytest.param("E`]w", 3, [2, 4, 5], 19, id="tie"),
+        # G(32, 0.3), seed 8: 28 members of its E(G) contain another
+        # member, and the search keeps them all
+        pytest.param(
+            "_cNvoE`O_Y@k?Ck?j[Dg?_CB??D?EI@`g?RdNOC[WO[Q?@?IKGmsFI?kAO??Co@GA"
+            "_qOp?RC@?c_QH@OKBKG",
+            8,
+            [0, 1, 2, 5, 8, 9, 13, 19],
+            13483,
+            id="G32",
+        ),
     ],
 )
 def test_branch_and_bound_search_tree_is_pinned(record, gamma, witness, nodes):

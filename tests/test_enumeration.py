@@ -154,7 +154,7 @@ def test_representatives_are_connected_distinct_and_canonical():
         for parent, gens in parents:
             cert = canonical_form(parent)
             assert to_graph6(parent).encode("ascii") == cert
-            # the cached certificate is the one a fresh search finds
+            # a fresh copy of the parent gets the same certificate
             assert canonical_form(Graph(n, parent.adj)) == cert
             for perm in gens:
                 assert sorted(perm) == list(range(n))
@@ -188,7 +188,7 @@ def test_canonical_form_separates_all_small_classes():
 
 def test_rejects_out_of_range_orders():
     # the call itself raises, before anything iterates it
-    for bad in (0, 10, -1):
+    for bad in (0, 11, -1):
         with pytest.raises(ValueError, match="built-in enumeration covers"):
             enumerate_connected_graphs(bad)
 

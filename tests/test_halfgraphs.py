@@ -131,6 +131,12 @@ def test_recognition_completeness_small_orders():
         assert hits == [target]
 
 
+def test_h5_certificate_is_the_order_10_census_key():
+    # the order-10 census names H_5 by this certificate in its extremal
+    # list, the line the CI job checks
+    assert canonical_form(half_graph(5)) == b"I??GhTTig"
+
+
 def test_peel_reduces_half_graphs():
     for k in range(2, 9):
         step = peel(half_graph(k))
@@ -193,8 +199,7 @@ def test_union_of_half_graphs():
 
 def _union_oracle(g: Graph) -> bool:
     """Every component C has the canonical form of H_{|C|/2}."""
-    # a connected graph is its own component, and an enumerated class
-    # keeps its cached certificate that way
+    # a connected graph is its own component
     components = (
         [g]
         if is_connected(g)
