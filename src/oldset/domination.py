@@ -13,6 +13,13 @@ dominate w, and location-forced when some N(x) xor N(y) = {v}, since
 only v can tell x from y.  An unforced v is removable: no member of
 E(G) is {v}, so V - v still meets them all.
 
+Only rows whose degrees differ by exactly one can differ in one vertex.
+For sets A and B, |A xor B| is at least ||A| - |B|| and has the parity
+of |A| + |B|, since |A xor B| = |A| + |B| - 2|A & B|.  So |A xor B| = 1
+forces ||A| - |B|| = 1.  The forced-vertex analysis therefore groups
+the vertices by degree and compares only rows of adjacent degrees, and
+the domination-forced witnesses are the rows of degree one.
+
 Both solvers return the same gamma and the same witness: the OLD set of
 minimum size whose mask is numerically least.  The brute-force solver
 guarantees this by scanning each cardinality in ascending mask order.
@@ -32,15 +39,15 @@ below.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graphs import (
     Graph,
     NotLocatableError,
     VertexSet,
+    _degree_classes,
     is_locatable,
     is_old_set,
-    mask_of,
     vertices_of,
 )
 
@@ -100,30 +107,51 @@ class ForcedClassification(NamedTuple):
 def domination_forced(g: Graph) -> dict[int, int]:
     """Map each domination-forced vertex to its least witness w."""
     witness: dict[int, int] = {}
-    for w in range(g.n):
-        row = g.adj[w]
-        if row and row & (row - 1) == 0:
-            v = row.bit_length() - 1
-            witness.setdefault(v, w)
+    for w in _degree_classes(g).get(1, ()):
+        witness.setdefault(g.adj[w].bit_length() - 1, w)
     return witness
 
 
+def _one_vertex_differences(
+    adj: tuple[VertexSet, ...], classes: dict[int, list[int]]
+) -> Iterator[tuple[int, int, VertexSet]]:
+    """(x, y, N(x) xor N(y)) for each pair of rows that differ in one
+    vertex, x of degree d and y of degree d + 1, from the degree classes
+    of the graph with rows adj."""
+    for degree, low in classes.items():
+        high = classes.get(degree + 1)
+        if high:
+            for x in low:
+                row = adj[x]
+                for y in high:
+                    diff = row ^ adj[y]
+                    if diff & (diff - 1) == 0:
+                        yield x, y, diff
+
+
 def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
-    """Map each location-forced vertex to its least witness pair (x, y)."""
+    """Map each location-forced vertex to its least witness pair (x, y),
+    x < y."""
+    found = sorted(
+        ((min(x, y), max(x, y)), diff)
+        for x, y, diff in _one_vertex_differences(g.adj, _degree_classes(g))
+    )
     witness: dict[int, tuple[int, int]] = {}
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            diff = g.adj[x] ^ g.adj[y]
-            if diff and diff & (diff - 1) == 0:
-                v = diff.bit_length() - 1
-                witness.setdefault(v, (x, y))
+    for pair, diff in found:
+        witness.setdefault(diff.bit_length() - 1, pair)
     return witness
 
 
 def classify_forced(g: Graph) -> ForcedClassification:
     """Classify every vertex of g; masks cover V exactly once over."""
-    dom_mask = mask_of(domination_forced(g))
-    loc_mask = mask_of(location_forced(g))
+    adj = g.adj
+    classes = _degree_classes(g)
+    dom_mask = 0
+    for w in classes.get(1, ()):
+        dom_mask |= adj[w]
+    loc_mask = 0
+    for _, _, diff in _one_vertex_differences(adj, classes):
+        loc_mask |= diff
     unforced = (1 << g.n) - 1 & ~(dom_mask | loc_mask)
     return ForcedClassification(dom_mask, loc_mask, unforced)
 

@@ -313,19 +313,30 @@ def _g6_bytes(n: int, adj: tuple[VertexSet, ...]) -> bytes:
     return bytes(out)
 
 
+def _degree_classes(g: Graph) -> dict[int, list[int]]:
+    """Map each degree of g to its vertices, in increasing order."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(g.adj):
+        classes.setdefault(row.bit_count(), []).append(v)
+    return classes
+
+
 def _twin_masks(g: Graph) -> list[VertexSet]:
     """twin[v] marks every u != v whose swap with v is an automorphism.
 
     That holds exactly when N(u) - v = N(v) - u: equal neighbourhoods
     (open twins) or equal-after-removing-each-other plus the edge uv
-    (closed twins).
+    (closed twins).  Either way u and v have the same degree, so only
+    pairs within a degree class are compared.
     """
+    adj = g.adj
     twin = [0] * g.n
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
-                twin[u] |= 1 << v
-                twin[v] |= 1 << u
+    for group in _degree_classes(g).values():
+        for i, u in enumerate(group):
+            for v in group[i + 1 :]:
+                if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    twin[u] |= 1 << v
+                    twin[v] |= 1 << u
     return twin
 
 

@@ -21,7 +21,8 @@ rows, not by one OLD-set test per vertex.  V is an OLD set, so dropping
 v breaks it exactly when some row N(w) through v is {v} or differs from
 another row in v alone.  The pass reads only g's rows and the unforced
 mask it is asked about; it shares no code with classify_forced, whose
-location-forced vertices come from a scan of row pairs.  So a wrong
+location-forced vertices come from comparing the rows of adjacent
+degrees, and it does not use that degree rule.  So a wrong
 classification still shows: a forced vertex called unforced is flagged,
 and a removable vertex called forced hides a witness, which the exact
 solve then contradicts.
@@ -35,13 +36,14 @@ finding (an order mismatch, an extremal or exactly solved graph, a
 violation).  The labeling search is exponential and would otherwise run
 on every input graph to key rows that are then dropped.
 
-The sweep pulls its input in chunks of _CHUNK graphs as it goes (in
-process it holds one at a time; a pool is handed them all), and each
-chunk returns its counts and only its named rows.  More than one job is
-an upper bound, not a promise of a pool: a sweep forks only when it has
-more than one chunk, a rule on the input's size alone, so one input
-always takes the same path.  A short stream of costly graphs therefore
-runs in process.
+The sweep pulls its input in chunks of _CHUNK graphs as it goes, and
+each chunk returns its counts and only its named rows, folded in chunk
+order.  In process it holds one chunk at a time; a pool of W workers
+is handed the next chunk only while fewer than 2W are unfinished.
+More than one job is an upper bound, not a promise of a pool: a sweep
+forks only when it has more than one chunk, a rule on the input's size
+alone, so one input always takes the same path.  A short stream of
+costly graphs therefore runs in process.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from itertools import chain, count, islice, repeat
-from typing import Iterable, NamedTuple, Sequence
+from collections import deque
+from itertools import chain, count, islice, repeat, starmap
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .domination import classify_forced, old_number
 from .graph6 import to_graph6
@@ -238,6 +241,32 @@ def _sweep(
     return len(chunk), locatable, named
 
 
+def _in_order(
+    pool, work: Iterator[tuple[int, int, list[Graph]]], limit: int
+) -> Iterator[tuple[int, int, list[tuple[str, int, _Row]]]]:
+    """The pool's _sweep of each argument triple of work, in work's order.
+
+    The next chunk is pulled from work only while fewer than limit
+    submitted chunks are unfinished, so the input in flight stays
+    bounded while every worker has a chunk to take; a finished chunk's
+    result waits for the chunks before it.
+    """
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    submitted: deque = deque()
+    unfinished: set = set()
+    for args in work:
+        future = pool.submit(_sweep, *args)
+        submitted.append(future)
+        unfinished.add(future)
+        if len(unfinished) == limit:
+            _, unfinished = wait(unfinished, return_when=FIRST_COMPLETED)
+        while submitted and submitted[0].done():
+            yield submitted.popleft().result()
+    for future in submitted:
+        yield future.result()
+
+
 def run_harness(
     graphs: Iterable[Graph],
     n: int,
@@ -253,7 +282,8 @@ def run_harness(
     half-graph recognition calls extremal are solved exactly, and only
     graphs that land in a report list get a canonical certificate.
     The input is pulled in chunks of _CHUNK graphs as the sweep goes,
-    and jobs > 1 allows a pool of min(jobs, CPU count, chunks) workers:
+    and jobs > 1 allows a pool of min(jobs, CPU count, chunks) workers,
+    with at most two unfinished chunks per worker:
     a sweep of at most _CHUNK graphs runs in process however costly its
     graphs are.  The path cannot change the report.
     """
@@ -268,15 +298,15 @@ def run_harness(
     peeked = list(islice(chunks, min(jobs, os.cpu_count() or 1)))[::-1]
     workers = len(peeked)
     ahead = (peeked.pop() for _ in range(workers))
-    work = (repeat(n), count(0, _CHUNK), chain(ahead, chunks))
+    work = zip(repeat(n), count(0, _CHUNK), chain(ahead, chunks))
     if workers > 1:
         # imported here: a sweep that never forks should not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            swept = list(pool.map(_sweep, *work))
+            swept = list(_in_order(pool, work, 2 * workers))
     else:
-        swept = map(_sweep, *work)
+        swept = starmap(_sweep, work)
 
     report = HarnessReport(n, record_errors)
     named = []

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
+
+import pytest
 
 from oldset import (
     Graph,
@@ -159,3 +162,61 @@ def test_both_forced_kinds_may_overlap():
     assert parts.domination_forced & parts.location_forced == mask_of([1, 3])
     for v in iter_bits(parts.domination_forced & parts.location_forced):
         assert v in domination_forced(_path(5)) and v in location_forced(_path(5))
+
+
+def _full_pair_reference(
+    g: Graph,
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    # every row and every pair of rows, in increasing order, so the first
+    # witness found for a vertex is its least
+    dom: dict[int, int] = {}
+    loc: dict[int, tuple[int, int]] = {}
+    for w in range(g.n):
+        if g.adj[w].bit_count() == 1:
+            dom.setdefault(g.adj[w].bit_length() - 1, w)
+    for x, y in combinations(range(g.n), 2):
+        diff = g.adj[x] ^ g.adj[y]
+        if diff.bit_count() == 1:
+            loc.setdefault(diff.bit_length() - 1, (x, y))
+    return dom, loc
+
+
+def _assert_matches_reference(g: Graph) -> None:
+    dom, loc = _full_pair_reference(g)
+    assert domination_forced(g) == dom
+    assert location_forced(g) == loc
+    parts = classify_forced(g)
+    assert parts.domination_forced == mask_of(dom)
+    assert parts.location_forced == mask_of(loc)
+    assert parts.unforced == (1 << g.n) - 1 & ~(mask_of(dom) | mask_of(loc))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_forced_analysis_matches_full_pair_scan_on_every_labeled_graph(n):
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        _assert_matches_reference(
+            from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        )
+
+
+def test_forced_analysis_matches_full_pair_scan_on_random_graphs():
+    # isolated vertices and open twins too: the witnesses are defined on
+    # every graph, locatable or not
+    rng = random.Random(23)
+    kinds = {"isolated": 0, "twins": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        edges = [
+            (u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.45
+        ]
+        if n < 12 and rng.random() < 0.3:
+            # vertex n copies the neighbourhood of v: open twins
+            v = rng.randrange(n)
+            edges += [(a + b - v, n) for a, b in edges if v in (a, b)]
+            n += 1
+        g = from_edges(n, edges)
+        kinds["isolated"] += 0 in g.adj
+        kinds["twins"] += len(set(g.adj)) < n
+        _assert_matches_reference(g)
+    assert min(kinds.values()) > 300

@@ -378,8 +378,10 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def _recording_pool(sizes):
@@ -505,6 +507,39 @@ def test_a_real_pool_keeps_the_report(monkeypatch):
     pooled = run_harness(enumerate_connected_graphs(6), 6, jobs=2).to_json()
     assert started == [2]
     assert pooled == solo
+
+
+def test_a_pool_holds_a_bounded_number_of_chunks(monkeypatch):
+    # 853 graphs of order 7 in chunks of 64 make 14 chunks; the input
+    # comes from a list, so it could be pulled far faster than two
+    # workers sweep it
+    real = concurrent.futures.ProcessPoolExecutor
+    submitted = []
+
+    class Watched(real):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            submitted.append(future)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Watched)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 64)
+    graphs = list(enumerate_connected_graphs(7))
+    ahead = []
+
+    def counted():
+        for index, g in enumerate(graphs):
+            if index % 64 == 0:
+                # this chunk and every submitted one not yet finished
+                ahead.append(1 + sum(not f.done() for f in submitted))
+            yield g
+
+    solo = run_harness(graphs, 7).to_json()
+    pooled = run_harness(counted(), 7, jobs=2).to_json()
+    assert pooled == solo
+    assert len(ahead) == len(submitted) == 14
+    assert max(ahead) <= 2 * 2
 
 
 def test_structured_dump_is_stable_and_timing_free():
