@@ -12,12 +12,17 @@ Exit codes: 0 success (for verify: theorem holds, no violations),
 1 usage error, 2 unreadable input, 3 graph admits no OLD set,
 4 the sweep found a violation.
 
-A bad record never stops a run.  Every record is parsed once, by one
-line-numbered reader.  solve and recognize share one record loop: it
-prints the error of each record that does not parse, or that solve
-finds to admit no OLD set, on stderr and goes on with the rest, then
-exits 2 if any record failed to parse, else 3 if any admits no OLD set.
-verify --stream lists bad records in its report, as record N with blank
+A bad record never stops a run.  One line-numbered reader reads each
+input's raw text before any record is handled and hands its records
+on one at a time.  Every record is parsed once, with one exception:
+verify --stream without --n takes the sweep order from the first
+record that parses, so the records up to that one are parsed twice,
+once to find it and once in the sweep.  solve and recognize share one
+record loop: it prints the error of each record that does not parse,
+or that solve finds to admit no OLD set, on stderr and goes on with
+the rest, then exits 2 if any record failed to parse, else 3 if any
+admits no OLD set.  verify --stream hands the sweep its records
+unparsed, and lists bad ones in its report, as record N with blank
 lines counted.  A closed stdout (oldset recognize FILE | head -1) ends
 the run silently, as it ends cat.
 """
@@ -76,24 +81,29 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _read_lines(path: str | None) -> list[str]:
-    """Stripped lines of an ASCII file, or of stdin when path is None.
+def _lines(path: str | None) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each nonblank line of an ASCII
+    file, or of stdin when path is None; blank lines count in the
+    numbers.
 
-    A file that cannot be opened or decoded raises _InputError, which
-    main reports in one line as exit 2.
+    The raw text is read and checked on the call, so a file that cannot
+    be opened or is not ASCII raises _InputError, which main reports in
+    one line as exit 2, before any record is handled.  Only the bytes
+    are kept: lines are split and decoded as they are reached.
     """
     try:
         if path is None:
-            text = sys.stdin.buffer.read().decode("ascii")
-            # newline=None splits lines as a file opened in text mode does
-            return [line.strip() for line in io.StringIO(text, newline=None)]
-        with open(path, encoding="ascii") as handle:
-            return [line.strip() for line in handle]
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
     except OSError as exc:
-        reason = exc.strerror or exc
-    except UnicodeDecodeError:
-        reason = "not ASCII text"
-    raise _InputError(f"cannot read {path or 'stdin'}: {reason}")
+        raise _InputError(f"cannot read {path or 'stdin'}: {exc.strerror or exc}")
+    if not data.isascii():
+        raise _InputError(f"cannot read {path or 'stdin'}: not ASCII text")
+    # newline=None splits lines as a file opened in text mode does
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
+    return ((i, line) for i, line in enumerate(map(str.strip, text), 1) if line)
 
 
 def _parse(record: str) -> Graph | GraphFormatError:
@@ -105,16 +115,16 @@ def _parse(record: str) -> Graph | GraphFormatError:
 
 
 def _parsed_lines(path: str | None) -> Iterator[tuple]:
-    """(line number, record, parse) of each nonblank line of path, or of
-    stdin when path is None; blank lines count in the numbers.  The text
-    is read on the call, each line parsed as it is reached."""
-    lines = enumerate(_read_lines(path), 1)
-    return ((i, line, _parse(line)) for i, line in lines if line)
+    """(line number, record, parse) of each line _lines(path) gives,
+    each record parsed as it is reached."""
+    return ((i, line, _parse(line)) for i, line in _lines(path))
 
 
 def _records(args_graphs: list[str]) -> Iterator[tuple]:
     """Resolve positionals to (line number, record, parse), an inline
-    record numbered 0; stdin when none given.  Files are read up front."""
+    record numbered 0; stdin when none given.  Each file is read and
+    checked on the call, so an unreadable one ends the run before any
+    output; its records are parsed as the caller reaches them."""
     if not args_graphs:
         return _parsed_lines(None)
     records = []
@@ -231,7 +241,6 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    record_errors: list[str] = []
     if args.stream is None:
         if args.n is None:
             raise _UsageError("verify needs --n, --stream, or both")
@@ -240,23 +249,34 @@ def _cmd_verify(args) -> int:
                 f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}; "
                 "pass --stream for other orders"
             )
-        graphs = enumerate_connected_graphs(args.n)
+        items = enumerate_connected_graphs(args.n)
         n = args.n
     else:
-        records = list(_parsed_lines(None if args.stream == "-" else args.stream))
-        graphs = [g for _, _, g in records if isinstance(g, Graph)]
-        record_errors = [
-            f"record {i}: {bad}" for i, _, bad in records if not isinstance(bad, Graph)
-        ]
-        # an explicit order does not make an empty sweep a success
-        if not graphs:
-            for error in record_errors:
-                print(error, file=sys.stderr)
-            print("stream contains no parsable records", file=sys.stderr)
-            return EXIT_PARSE
-        n = graphs[0].n if args.n is None else args.n
+        # (line number, record) pairs, which the sweep parses
+        items = _lines(None if args.stream == "-" else args.stream)
+        n = args.n
+        if n is None:
+            # the order of the first record that parses; the records up
+            # to it are parsed again by the sweep, and none after it
+            n = 0  # none parses, and the sweep reports them all
+            pulled = []
+            for record in items:
+                pulled.append(record)
+                first = _parse(record[1])
+                if isinstance(first, Graph):
+                    n = first.n
+                    break
+            items = chain(pulled, items)
 
-    report = run_harness(graphs, n, jobs=args.jobs, record_errors=record_errors)
+    report = run_harness(items, n, jobs=args.jobs)
+    # an explicit order does not make an empty sweep a success; only a
+    # stream can hold no graph, and then its record errors are all
+    # parse errors
+    if not report.graphs_scanned:
+        for error in report.record_errors:
+            print(error, file=sys.stderr)
+        print("stream contains no parsable records", file=sys.stderr)
+        return EXIT_PARSE
     if args.format == "structured":
         print(report.to_json())
     else:
@@ -322,8 +342,8 @@ def _build_parser() -> _Parser:
         type=_positive,
         default=1,
         help="upper bound on worker processes, capped at the CPU count and "
-        f"at one per chunk of {_CHUNK} graphs, so a sweep of one chunk "
-        "never forks",
+        f"at one per chunk of {_CHUNK} records (graphs of a census), so a "
+        "sweep of one chunk never forks",
     )
     verify.set_defaults(entry=_cmd_verify)
     return parser

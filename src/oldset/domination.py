@@ -142,16 +142,33 @@ def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
     return witness
 
 
-def classify_forced(g: Graph) -> ForcedClassification:
-    """Classify every vertex of g; masks cover V exactly once over."""
+def classify_forced(
+    g: Graph, classes: dict[int, list[int]] | None = None
+) -> ForcedClassification:
+    """Classify every vertex of g; masks cover V exactly once over.
+
+    classes maps each degree of g to its vertices in increasing order;
+    a caller that has them already passes them, else they are found
+    here.
+    """
     adj = g.adj
-    classes = _degree_classes(g)
+    if classes is None:
+        classes = _degree_classes(g)
     dom_mask = 0
     for w in classes.get(1, ()):
         dom_mask |= adj[w]
+    # the pairs of _one_vertex_differences, ORed in place: the masks need
+    # no witness, and a generator would be resumed once per pair
     loc_mask = 0
-    for _, _, diff in _one_vertex_differences(adj, classes):
-        loc_mask |= diff
+    for degree, low in classes.items():
+        high = classes.get(degree + 1)
+        if high:
+            for x in low:
+                row = adj[x]
+                for y in high:
+                    diff = row ^ adj[y]
+                    if diff & (diff - 1) == 0:
+                        loc_mask |= diff
     unforced = (1 << g.n) - 1 & ~(dom_mask | loc_mask)
     return ForcedClassification(dom_mask, loc_mask, unforced)
 

@@ -32,6 +32,10 @@ class GraphFormatError(ValueError):
 _SET_BITS = tuple(tuple(i for i in range(6) if v >> 5 - i & 1) for v in range(64))
 
 
+# the bytes a record may hold, 63..126
+_VALID = bytes(range(63, 127))
+
+
 def _fail(record: str, reason: str) -> GraphFormatError:
     shown = record if len(record) <= 40 else record[:37] + "..."
     return GraphFormatError(f"bad graph6 record {shown!r}: {reason}")
@@ -51,7 +55,9 @@ def parse_graph6(record: str) -> Graph:
         data = text.encode("ascii")
     except UnicodeEncodeError:
         raise _fail(text, "non-ASCII byte") from None
-    if min(data) < 63 or max(data) > 126:
+    # one C pass deletes the valid bytes; only a rejection looks for the
+    # first that is left
+    if data.translate(None, _VALID):
         byte = next(b for b in data if not 63 <= b <= 126)
         raise _fail(text, f"byte {byte} outside the graph6 range 63..126")
 

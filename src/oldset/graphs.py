@@ -190,7 +190,20 @@ def is_locatable(g: Graph) -> bool:
     graphs that admit any OLD set (an OLD set's supersets are OLD sets
     too).  The order-0 graph is vacuously locatable.
     """
-    return is_old_set(g, (1 << g.n) - 1)
+    return _locatable_rows(g) is not None
+
+
+def _locatable_rows(g: Graph) -> set[VertexSet] | None:
+    """The set of g's rows when g is locatable, else None.
+
+    V's traces are the rows, so V is an OLD set exactly when no row is
+    empty and no two rows are equal, that is when the set of rows holds
+    n nonzero members.
+    """
+    rows = set(g.adj)
+    if 0 in rows or len(rows) < g.n:
+        return None
+    return rows
 
 
 class NotLocatableError(ValueError):

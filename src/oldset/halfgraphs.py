@@ -32,6 +32,7 @@ from .graphs import (
     Graph,
     NotLocatableError,
     VertexSet,
+    _degree_classes,
     component_masks,
     from_edges,
     induced_subgraph,
@@ -81,8 +82,8 @@ def half_graph(k: int) -> Graph:
     )
 
 
-def _half_graph_count(g: Graph) -> int:
-    """How many half-graph components the degrees of g allow, or -1.
+def _half_graph_count(g: Graph, classes: dict[int, list[int]]) -> int:
+    """How many half-graph components the degree classes of g allow, or -1.
 
     H_k has two vertices of each degree 1..k, so a union of H_{k_1},
     ..., H_{k_m} has an even number 2 * #{i : k_i >= d} of vertices of
@@ -90,15 +91,17 @@ def _half_graph_count(g: Graph) -> int:
     of degree 0; m is half the number of degree 1.  Degrees that break
     this rule give -1.
     """
-    degrees = sorted(map(int.bit_count, g.adj))
-    if degrees[::2] != degrees[1::2]:
+    if not g.n:
+        return 0
+    # with no vertex of degree 1 some larger degree outgrows it
+    if 0 in classes or 1 not in classes:
         return -1
-    counts = [0] * (g.n + 1)
-    for d in degrees[::2]:
-        counts[d] += 1
-    if counts[0] or any(a < b for a, b in zip(counts[1:], counts[2:])):
+    sizes = [len(classes.get(d, ())) for d in range(1, max(classes) + 1)]
+    if any(size % 2 for size in sizes) or any(
+        a < b for a, b in zip(sizes, sizes[1:])
+    ):
         return -1
-    return counts[1] if g.n else 0
+    return sizes[0] // 2
 
 
 def _labeling_for(g: Graph, side_a: VertexSet, side_b: VertexSet) -> HalfGraphLabeling | None:
@@ -155,7 +158,7 @@ def is_half_graph(g: Graph) -> HalfGraphLabeling | None:
     assignments are tried, the side of vertex 0 as the v side first, so
     the verdict is independent of labeling.
     """
-    if _half_graph_count(g) != 1:
+    if _half_graph_count(g, _degree_classes(g)) != 1:
         return None
     return _labeling_within(g, (1 << g.n) - 1)
 
@@ -188,7 +191,9 @@ def peel(g: Graph) -> PeelStep | None:
     return None
 
 
-def is_union_of_half_graphs(g: Graph) -> bool:
+def is_union_of_half_graphs(
+    g: Graph, classes: dict[int, list[int]] | None = None
+) -> bool:
     """True iff every connected component of g is a half-graph.
 
     These are exactly the locatable graphs with gamma_OL equal to the
@@ -197,8 +202,12 @@ def is_union_of_half_graphs(g: Graph) -> bool:
     vertices of some degree, more vertices of degree d + 1 than of
     degree d) give False before the components are found; every union
     of half-graphs passes that gate, so it changes no verdict.  Each
-    component is then tested in place, on its vertex mask.
+    component is then tested in place, on its vertex mask.  classes
+    maps each degree of g to its vertices; a caller that has them
+    already passes them, else they are found here.
     """
-    if _half_graph_count(g) < 0:
+    if classes is None:
+        classes = _degree_classes(g)
+    if _half_graph_count(g, classes) < 0:
         return False
     return all(labeling is not None for _, labeling in _component_labelings(g))

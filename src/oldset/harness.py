@@ -36,14 +36,18 @@ finding (an order mismatch, an extremal or exactly solved graph, a
 violation).  The labeling search is exponential and would otherwise run
 on every input graph to key rows that are then dropped.
 
-The sweep pulls its input in chunks of _CHUNK graphs as it goes, and
-each chunk returns its counts and only its named rows, folded in chunk
-order.  In process it holds one chunk at a time; a pool of W workers
-is handed the next chunk only while fewer than 2W are unfinished.
-More than one job is an upper bound, not a promise of a pool: a sweep
-forks only when it has more than one chunk, a rule on the input's size
-alone, so one input always takes the same path.  A short stream of
-costly graphs therefore runs in process.
+The sweep pulls its input in chunks of _CHUNK items as it goes, and
+each chunk returns its counts, its parse errors and only its named
+rows, folded in chunk order.  For a census an item is a graph of the
+enumeration; for a stream it is a (record number, graph6 record) pair,
+which the sweep parses, examines and drops, so a pool's workers are
+sent record strings and parse them themselves.  In process the sweep
+holds one chunk at a time; a pool of W workers is handed the next chunk
+only while fewer than 2W are unfinished.  More than one job is an upper
+bound, not a promise of a pool: a sweep forks only when it has more
+than one chunk, a rule on the input's size alone, so one input always
+takes the same path.  A short stream of costly graphs therefore runs in
+process.
 """
 
 from __future__ import annotations
@@ -53,25 +57,27 @@ import os
 import time
 from collections import deque
 from itertools import chain, count, islice, repeat, starmap
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .domination import classify_forced, old_number
-from .graph6 import to_graph6
+from .graph6 import GraphFormatError, parse_graph6, to_graph6
 from .graphs import (
     CANONICAL_ORDER_LIMIT,
     Graph,
+    _degree_classes,
+    _locatable_rows,
     canonical_form,
-    is_locatable,
     iter_bits,
 )
 from .halfgraphs import is_union_of_half_graphs
 
 __all__ = ["HarnessReport", "run_harness"]
 
-# A pool costs 70-100 ms to start on two cores and a cheap graph well
-# under 0.1 ms to examine, so a sweep of one chunk runs in process: the
-# 3,000-graph stream and the order-8 census (11,117 graphs) never fork,
-# a 60,000-graph stream does.
+# Items per unit of work: graphs of a census, records of a stream (a
+# record that does not parse counts too).  A pool costs 70-100 ms to
+# start on two cores and a cheap graph well under 0.1 ms to examine, so
+# a sweep of one chunk runs in process: the 3,000-graph stream and the
+# order-8 census (11,117 graphs) never fork, a 60,000-graph stream does.
 _CHUNK = 16384
 
 
@@ -84,13 +90,14 @@ class HarnessReport:
     the certificate, the exact gamma and the half-graph test disagree.
     bondy_violations and prop2_violations are analogous, and empty on
     every input if the mathematics is right.  record_errors carries
-    per-record parse or order problems without aborting the sweep.
-    Every list after the caller's record errors is in certificate order,
-    ties in input order; graphs that appear in no list are counted but
-    never canonicalised.
+    per-record parse or order problems without aborting the sweep: the
+    parse errors in input order, then the order mismatches.  Every
+    other list, and the mismatches, are in certificate order, ties in
+    input order; graphs that appear in no list are counted but never
+    canonicalised.
     """
 
-    def __init__(self, n: int, record_errors: Iterable[str] = ()):
+    def __init__(self, n: int):
         self.n = n
         self.graphs_scanned = 0
         self.locatable_count = 0
@@ -98,7 +105,7 @@ class HarnessReport:
         self.counterexamples: list[tuple[str, int, bool]] = []
         self.bondy_violations: list[tuple[str, int]] = []
         self.prop2_violations: list[tuple[str, int]] = []
-        self.record_errors = list(record_errors)
+        self.record_errors: list[str] = []
         self.timing = 0.0
 
     @property
@@ -181,19 +188,19 @@ def _cert(g: Graph) -> str:
     return to_graph6(g)
 
 
-def _unremovable(g: Graph, candidates: int) -> int:
+def _unremovable(g: Graph, candidates: int, rows: set[int]) -> int:
     """The vertices v of candidates for which V - v is not an OLD set.
 
     Only for a locatable g, where V itself is an OLD set: its traces
-    are the rows N(w), all nonzero and all distinct.  Dropping v changes
-    only the rows through v, each to N(w) - v, and leaves every other
-    row as it was.  So V - v fails exactly when such a row becomes empty
-    (N(w) = {v}) or equal to another row (N(w) ^ {v} is a row; that row
-    misses v, so it is unchanged).  One pass over the rows decides this
-    for every candidate at once.  It reads only g's rows, never the
-    forced-vertex analysis whose candidates it checks.
+    are the rows N(w), all nonzero and all distinct, and rows is their
+    set.  Dropping v changes only the rows through v, each to N(w) - v,
+    and leaves every other row as it was.  So V - v fails exactly when
+    such a row becomes empty (N(w) = {v}) or equal to another row
+    (N(w) ^ {v} is a row; that row misses v, so it is unchanged).  One
+    pass over the rows decides this for every candidate at once.  It
+    reads only g's rows, never the forced-vertex analysis whose
+    candidates it checks, nor the degrees that analysis groups by.
     """
-    rows = set(g.adj)
     bad = 0
     for row in g.adj:
         through = row & candidates
@@ -206,17 +213,22 @@ def _unremovable(g: Graph, candidates: int) -> int:
 
 
 def _examine(g: Graph) -> _Row:
-    if not is_locatable(g):
+    # the row set and the degree classes are worked out once per graph:
+    # locatability and the removability pass read the rows, the
+    # forced-vertex analysis and the half-graph gate the classes
+    rows = _locatable_rows(g)
+    if rows is None:
         return _Row(g.n, False, False, None, False, 0, ())
-    parts = classify_forced(g)
-    bad = _unremovable(g, parts.unforced)
+    classes = _degree_classes(g)
+    parts = classify_forced(g, classes)
+    bad = _unremovable(g, parts.unforced, rows)
     prop2_bad = tuple(iter_bits(bad))
     # every unforced vertex outside bad is a removal witness
     extremal = bad == parts.unforced
     # on the connected streams the harness is specified for this is
     # exactly the half-graph test; it extends to disconnected input
     # through the additivity of gamma_OL over components
-    half = is_union_of_half_graphs(g)
+    half = is_union_of_half_graphs(g, classes)
     gamma = old_number(g).gamma if extremal or half else None
     bondy = parts.location_forced.bit_count()  # as bondy_check counts
     bondy_bad = bondy if bondy > max(g.n - 1, 0) else 0
@@ -224,26 +236,39 @@ def _examine(g: Graph) -> _Row:
 
 
 def _sweep(
-    n: int, start: int, chunk: list[Graph]
-) -> tuple[int, int, list[tuple[str, int, _Row]]]:
-    """Examine chunk, whose first graph has input index start.
+    n: int, start: int, chunk: list[Graph | tuple[int, str]]
+) -> tuple[int, int, list[str], list[tuple[str, int, _Row]]]:
+    """Examine chunk, whose first item has input index start.
 
-    Returns the number of graphs, the number of locatable ones and
-    (certificate, input index, row) for each graph the report names.
+    An item is a graph, or a (record number, graph6 record) pair that
+    is parsed here, its graph examined and dropped; the record number
+    is then its input index.  Returns the number of graphs examined,
+    the number of locatable ones, the error of each record that does
+    not parse, in chunk order, and (certificate, input index, row) for
+    each graph the report names.
     """
-    locatable = 0
+    scanned = locatable = 0
+    errors = []
     named = []
-    for index, g in enumerate(chunk, start):
+    for index, item in enumerate(chunk, start):
+        if isinstance(item, Graph):
+            g = item
+        else:
+            index, record = item
+            try:
+                g = parse_graph6(record)
+            except GraphFormatError as exc:
+                errors.append(f"record {index}: {exc}")
+                continue
+        scanned += 1
         row = _examine(g)
         locatable += row.locatable
         if row.order != n or row.gamma is not None or row.bondy_bad or row.prop2_bad:
             named.append((_cert(g), index, row))
-    return len(chunk), locatable, named
+    return scanned, locatable, errors, named
 
 
-def _in_order(
-    pool, work: Iterator[tuple[int, int, list[Graph]]], limit: int
-) -> Iterator[tuple[int, int, list[tuple[str, int, _Row]]]]:
+def _in_order(pool, work: Iterator[tuple], limit: int) -> Iterator[tuple]:
     """The pool's _sweep of each argument triple of work, in work's order.
 
     The next chunk is pulled from work only while fewer than limit
@@ -268,24 +293,27 @@ def _in_order(
 
 
 def run_harness(
-    graphs: Iterable[Graph],
+    graphs: Iterable[Graph] | Iterable[tuple[int, str]],
     n: int,
     jobs: int = 1,
-    record_errors: Sequence[str] = (),
 ) -> HarnessReport:
     """Sweep graphs and aggregate one deterministic report.
 
-    Every locatable graph gets all three checks from one forced-vertex
-    analysis.  A graph is extremal exactly when no unforced v leaves
-    V - v an OLD set: supersets of OLD sets are OLD sets and a forced
-    vertex can never be dropped.  Only graphs that this certificate or
-    half-graph recognition calls extremal are solved exactly, and only
-    graphs that land in a report list get a canonical certificate.
-    The input is pulled in chunks of _CHUNK graphs as the sweep goes,
-    and jobs > 1 allows a pool of min(jobs, CPU count, chunks) workers,
-    with at most two unfinished chunks per worker:
-    a sweep of at most _CHUNK graphs runs in process however costly its
-    graphs are.  The path cannot change the report.
+    graphs holds graphs, or (record number, graph6 record) pairs with
+    distinct numbers in increasing order, which the sweep parses; a
+    record that does not parse is not scanned, and adds "record N:
+    reason" to the report's record errors, in input order and ahead of
+    the order mismatches.  Every locatable graph gets all
+    three checks from one forced-vertex analysis.  A graph is extremal
+    exactly when no unforced v leaves V - v an OLD set: supersets of
+    OLD sets are OLD sets and a forced vertex can never be dropped.
+    Only graphs that this certificate or half-graph recognition calls
+    extremal are solved exactly, and only graphs that land in a report
+    list get a canonical certificate.  The input is pulled in chunks of
+    _CHUNK items as the sweep goes, and jobs > 1 allows a pool of
+    min(jobs, CPU count, chunks) workers, with at most two unfinished
+    chunks per worker: a sweep of at most _CHUNK items runs in process
+    however costly its graphs are.  The path cannot change the report.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -308,11 +336,12 @@ def run_harness(
     else:
         swept = starmap(_sweep, work)
 
-    report = HarnessReport(n, record_errors)
+    report = HarnessReport(n)
     named = []
-    for scanned, locatable, rows in swept:
+    for scanned, locatable, errors, rows in swept:
         report.graphs_scanned += scanned
         report.locatable_count += locatable
+        report.record_errors.extend(errors)
         named.extend(rows)
     # input indices are distinct, so the sort never compares two rows
     named.sort()

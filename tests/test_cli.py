@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import importlib.util
 import io
 import json
@@ -18,6 +19,7 @@ import pytest
 import oldset
 import oldset.cli
 import oldset.halfgraphs
+import oldset.harness
 from oldset import (
     Graph,
     disjoint_union,
@@ -445,6 +447,80 @@ def test_verify_stream_without_parsable_records_exits_2(
     assert out == ""
     reasons = [f"record 1: {_BAD_BYTE}"] if content else []
     assert err.splitlines() == [*reasons, "stream contains no parsable records"]
+
+
+# blank lines (1, 5, 11), bad records (2, 6, 9, 13) and records off the
+# sweep order (4, 7, 12) among graphs of order 6, the order of line 3,
+# the first record that parses
+_MIXED_STREAM = "\n!!!\nECr_\nA_\n\nE??\nCl\nEhCG\n~??\nELHO\n   \nBw\nI??\nEwCW\nE@Ug\n"
+_MIXED_REPORT = (
+    '{"bondy_violations":[],"counterexamples":[],'
+    '"extremal":["A_","E@Ug","E@Ug","E@Ug"],"graphs_scanned":8,'
+    '"locatable_count":7,"n":6,"prop2_violations":[],"record_errors":['
+    f'"record 2: {_BAD_BYTE}",'
+    '"record 6: bad graph6 record \'E??\': order 6 needs 3 data bytes, found 2",'
+    '"record 9: bad graph6 record \'~??\': truncated 3-byte size prefix",'
+    '"record 13: bad graph6 record \'I??\': order 10 needs 8 data bytes, found 2",'
+    '"A_: order differs from sweep order 6","Bw: order differs from sweep order 6",'
+    '"C]: order differs from sweep order 6"],"theorem_holds":true}\n'
+)
+
+
+def test_a_mixed_stream_reports_the_same_in_process_pooled_and_on_stdin(
+    tmp_path, capsys, monkeypatch
+):
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counted(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 3)  # 12 records, 4 chunks
+    path = tmp_path / "mixed.g6"
+    path.write_text(_MIXED_STREAM)
+    argv = ["verify", "--format", "structured", "--stream"]
+    solo = _run(capsys, *argv, str(path), "--jobs", "1")
+    assert solo == (0, _MIXED_REPORT, "")
+    assert started == []
+    assert _run(capsys, *argv, str(path), "--jobs", "2") == solo
+    assert started == [2]
+    stdin = io.TextIOWrapper(io.BytesIO(_MIXED_STREAM.encode()), encoding="ascii")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert _run(capsys, *argv, "-", "--jobs", "2") == solo
+    assert started == [2, 2]
+    errors = json.loads(solo[1])["record_errors"]
+    numbers = [
+        int(e.split(":")[0].removeprefix("record "))
+        for e in errors
+        if e.startswith("record ")
+    ]
+    assert numbers == [2, 6, 9, 13]
+
+
+def test_verify_stream_parses_only_the_records_before_the_order_twice(
+    tmp_path, capsys, monkeypatch
+):
+    parsed = []
+    for module in (oldset.cli, oldset.harness):
+
+        def counted(record, parse=module.parse_graph6):
+            parsed.append(record)
+            return parse(record)
+
+        monkeypatch.setattr(module, "parse_graph6", counted)
+    path = tmp_path / "mixed.g6"
+    path.write_text(_MIXED_STREAM)
+    records = list(filter(None, map(str.strip, _MIXED_STREAM.splitlines())))
+    assert _run(capsys, "verify", "--stream", str(path), "--n", "6")[0] == 0
+    assert parsed == records
+    parsed.clear()
+    # without --n, line 2 and line 3, the first that parses, are parsed
+    # to find the order and again in the sweep
+    assert _run(capsys, "verify", "--stream", str(path))[0] == 0
+    assert parsed == ["!!!", "ECr_", *records]
 
 
 def test_verify_missing_stream_file(capsys):

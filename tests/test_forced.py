@@ -21,6 +21,7 @@ from oldset import (
     location_forced,
     mask_of,
 )
+from oldset.graphs import _degree_classes
 
 
 def _k(n: int) -> Graph:
@@ -189,6 +190,10 @@ def _assert_matches_reference(g: Graph) -> None:
     assert parts.domination_forced == mask_of(dom)
     assert parts.location_forced == mask_of(loc)
     assert parts.unforced == (1 << g.n) - 1 & ~(mask_of(dom) | mask_of(loc))
+    # the degree classes a caller passes in, as the harness does
+    assert classify_forced(g, _degree_classes(g)) == parts
+    # the row-set locatability test against the OLD-set test on V
+    assert is_locatable(g) == is_old_set(g, (1 << g.n) - 1)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -204,7 +209,7 @@ def test_forced_analysis_matches_full_pair_scan_on_random_graphs():
     # isolated vertices and open twins too: the witnesses are defined on
     # every graph, locatable or not
     rng = random.Random(23)
-    kinds = {"isolated": 0, "twins": 0}
+    kinds = {"isolated": 0, "twins": 0, "locatable": 0}
     for _ in range(3000):
         n = rng.randint(1, 12)
         edges = [
@@ -218,5 +223,6 @@ def test_forced_analysis_matches_full_pair_scan_on_random_graphs():
         g = from_edges(n, edges)
         kinds["isolated"] += 0 in g.adj
         kinds["twins"] += len(set(g.adj)) < n
+        kinds["locatable"] += is_old_set(g, (1 << n) - 1)
         _assert_matches_reference(g)
     assert min(kinds.values()) > 300

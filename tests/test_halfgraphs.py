@@ -19,7 +19,7 @@ from oldset import (
     is_union_of_half_graphs,
     peel,
 )
-from oldset.graphs import component_masks
+from oldset.graphs import _degree_classes, component_masks
 
 
 def _k(n: int) -> Graph:
@@ -249,6 +249,8 @@ def test_union_test_agrees_with_canonical_forms():
     cases += [t for k in range(1, 7) for t in _toggles(half_graph(k))]
     verdicts = [is_union_of_half_graphs(g) for g in cases]
     assert verdicts == [_union_oracle(g) for g in cases]
+    # the degree classes a caller passes in, as the harness does
+    assert verdicts == [is_union_of_half_graphs(g, _degree_classes(g)) for g in cases]
     # H_1..H_4; for each way of joining, the 16 unions of two and H_j + H_1
     # and H_j + H_2 again from the small classes; and H_1 + H_1 from
     # cutting the middle of H_2 = P_4

@@ -90,7 +90,7 @@ def test_the_removability_pass_agrees_with_the_old_set_test():
             if not is_locatable(g):
                 continue
             full = (1 << g.n) - 1
-            bad = oldset.harness._unremovable(g, full)
+            bad = oldset.harness._unremovable(g, full, set(g.adj))
             for v in range(g.n):
                 assert bool(bad >> v & 1) == (not is_old_set(g, full & ~(1 << v)))
             assert bad == classify_forced(g).forced
@@ -99,21 +99,32 @@ def test_the_removability_pass_agrees_with_the_old_set_test():
 
 
 def test_a_census_sweep_tests_each_graph_once_for_an_old_set(monkeypatch):
+    # whether V is an OLD set is decided once per graph, by the row-set
+    # test, and is_old_set itself is never called
     graphs = list(enumerate_connected_graphs(7))
     calls = []
+    old_set_calls = []
+    locatable_rows = oldset.graphs._locatable_rows
 
-    def counted(g, s):
+    def counted(g):
         calls.append(g)
+        return locatable_rows(g)
+
+    def forbidden(g, s):
+        old_set_calls.append(g)
         return is_old_set(g, s)
 
-    # every module that holds the name, so a caller importing it directly
+    # every module that holds a name, so a caller importing it directly
     # is counted too
     for module in (oldset.graphs, oldset.harness, oldset.domination):
+        if hasattr(module, "_locatable_rows"):
+            monkeypatch.setattr(module, "_locatable_rows", counted)
         if hasattr(module, "is_old_set"):
-            monkeypatch.setattr(module, "is_old_set", counted)
+            monkeypatch.setattr(module, "is_old_set", forbidden)
     report = run_harness(graphs, 7)
     assert report.locatable_count > 0
     assert calls == graphs
+    assert old_set_calls == []
 
 
 def _gamma_one_short(g):
@@ -135,7 +146,9 @@ def test_a_wrong_gamma_shows_as_a_counterexample(monkeypatch, capsys):
 
 
 def test_a_wrong_half_graph_test_shows_as_counterexamples(monkeypatch):
-    monkeypatch.setattr(oldset.harness, "is_union_of_half_graphs", lambda g: True)
+    monkeypatch.setattr(
+        oldset.harness, "is_union_of_half_graphs", lambda g, classes=None: True
+    )
     report = run_harness(enumerate_connected_graphs(4), 4)
     h2 = canonical_form(half_graph(2)).decode("ascii")
     locatable = sorted(
@@ -152,11 +165,11 @@ def test_a_wrong_half_graph_test_shows_as_counterexamples(monkeypatch):
     assert not report.theorem_holds
 
 
-def _nothing_forced(g):
+def _nothing_forced(g, classes=None):
     return ForcedClassification(0, 0, (1 << g.n) - 1)
 
 
-def _everything_forced(g):
+def _everything_forced(g, classes=None):
     full = (1 << g.n) - 1
     return ForcedClassification(full, full, 0)
 
@@ -472,6 +485,73 @@ def test_the_sweep_pulls_its_input_one_chunk_at_a_time(monkeypatch):
     assert report.to_json() == run_harness(graphs, 5).to_json()
 
 
+def test_the_sweep_pulls_a_stream_one_chunk_at_a_time(monkeypatch, tmp_path, capsys):
+    # the same for the records of a stream, which the CLI's reader hands
+    # on one at a time, the first pulled to find the order
+    from oldset.cli import main
+
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 3)
+    path = tmp_path / "five.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in enumerate_connected_graphs(5)))
+    argv = ["verify", "--stream", str(path), "--format", "structured"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    lines = oldset.cli._lines
+    pulled = 0
+
+    def counted(path):
+        nonlocal pulled
+        for record in lines(path):
+            pulled += 1
+            yield record
+
+    ahead = []
+    sweep = oldset.harness._sweep
+
+    def watched(n, start, chunk):
+        ahead.append(pulled - start)
+        return sweep(n, start, chunk)
+
+    monkeypatch.setattr(oldset.cli, "_lines", counted)
+    monkeypatch.setattr(oldset.harness, "_sweep", watched)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert json.loads(expected)["graphs_scanned"] == 21
+    assert ahead == [3] * 7
+
+
+def test_a_pool_is_sent_records_not_graphs(monkeypatch, tmp_path, capsys):
+    from oldset.cli import main
+
+    sent = []
+
+    class Recording(_InProcessPool):
+        def submit(self, fn, *args):
+            sent.append(args[2])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: Recording()
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 40)
+    records = [to_graph6(g) for g in _mixed_stream()] + ["!!!"]  # 120 records
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(record + "\n" for record in records))
+    argv = ["verify", "--stream", str(path), "--n", "6", "--format", "structured"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    solo = capsys.readouterr().out
+    assert sent == []
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == solo
+    assert [len(chunk) for chunk in sent] == [40, 40, 40]
+    items = [item for chunk in sent for item in chunk]
+    assert all(
+        type(item) is tuple and list(map(type, item)) == [int, str] for item in items
+    )
+    assert items == list(enumerate(records, 1))
+
+
 def _no_pool(max_workers):
     raise AssertionError("a cheap sweep started a process pool")
 
@@ -569,9 +649,16 @@ def test_order_mismatch_lands_in_record_errors():
     assert report.graphs_scanned == 2
 
 
-def test_caller_record_errors_pass_through():
-    report = run_harness([], 3, record_errors=["record 2: bad byte"])
-    assert report.record_errors == ["record 2: bad byte"]
+def test_stream_parse_errors_come_first_in_record_order():
+    records = [(2, "!!!"), (3, "A_"), (5, "Bw"), (9, "I??")]
+    report = run_harness(records, 3)
+    assert report.record_errors == [
+        "record 2: bad graph6 record '!!!': byte 33 outside the graph6 range 63..126",
+        "record 9: bad graph6 record 'I??': order 10 needs 8 data bytes, found 2",
+        "A_: order differs from sweep order 3",
+    ]
+    assert report.graphs_scanned == 2
+    report = run_harness(records[::3], 3)
     assert report.graphs_scanned == 0
     assert report.theorem_holds  # vacuously
 

@@ -123,7 +123,7 @@ def test_branch_and_bound_equals_brute_force(g):
 @given(st.one_of(locatable(12), st.builds(disjoint_union, locatable(6), locatable(6))))
 def test_the_removability_pass_equals_the_old_set_test(g):
     full = (1 << g.n) - 1
-    bad = _unremovable(g, full)
+    bad = _unremovable(g, full, set(g.adj))
     for v in range(g.n):
         assert bool(bad >> v & 1) == (not is_old_set(g, full & ~(1 << v)))
     assert bad == classify_forced(g).forced
