@@ -11,14 +11,16 @@ Each class is generated exactly once by canonical augmentation (McKay
 1998, *Isomorph-free exhaustive generation*, J. Algorithms 26, §3).
 The canonical deletion v* of a connected graph G of order >= 2 is its
 non-cut vertex that is greatest on (degree, sum of its neighbours'
-degrees), compared in that order, ties broken by the largest canonical
-label.  An isomorphism G -> H carries v*(G) into the orbit of v*(H):
-it preserves the invariants and cut-ness, and it is G's canonical
-labeling followed by an automorphism and by the inverse of H's.  A parent P is extended
-once per orbit of neighbourhood masks under its automorphisms: masks m
-and p(m) for an automorphism p give children that p, extended by fixing
-x, maps onto each other.  The child P + x is kept only when x lies in
-the orbit of v*.
+degrees, triangles through it), compared in that order, ties broken by
+the largest canonical label.  An isomorphism G -> H carries v*(G) into
+the orbit of v*(H): it preserves the three invariants, each a count
+that relabeling cannot change, and cut-ness, and it is G's canonical
+labeling followed by an automorphism and by the inverse of H's.  So any
+isomorphism-invariant key, the triangle count among them, keeps the
+argument below.  A parent P is extended once per orbit of neighbourhood
+masks under its automorphisms: masks m and p(m) for an automorphism p
+give children that p, extended by fixing x, maps onto each other.  The
+child P + x is kept only when x lies in the orbit of v*.
 
 Each class G arises: G - v* is connected, so it is isomorphic to a
 parent P, and the orbit representative of the image of v*'s
@@ -36,22 +38,25 @@ kept.  The labeling search yields the whole group (see
 graphs.canonical_form).
 
 Most children are decided without a labeling.  A child is rejected when
-a non-cut vertex u beats x on the invariants, and the test is decided
-on parent data, before the child exists.  With mask the neighbourhood
-of x, u's degree in the child is deg_P(u) plus one when u is in mask,
-and x's is |mask|; u's neighbour-degree sum grows by |N_P(u) & mask|
-and, when u is in mask, by |mask|, and x's is the sum of deg_P(w) + 1
-over mask.  P + x - u is P - u with x joined to the components that
-mask meets, so u is a non-cut vertex of the child exactly when every
-component of P - u meets mask; the components are computed once per
-parent.  x itself is never a cut vertex, because the parent is
-connected.  The test is invariant under the parent's automorphisms, so
-the passing masks are a union of orbits and are reduced to orbit
-representatives after it.  A passing child whose x ties no non-cut
-rival has v* = x, and one whose tied rivals u are all twins of x (N(u)
-- x = N(x) - u, so swapping u and x is an automorphism) has them all in
-x's orbit; both are kept unlabeled.  Only the rest are labeled, to find
-v* and the orbit of x.
+a non-cut vertex u beats x on the first two invariants, and the test is
+decided on parent data, before the child exists.  With mask the
+neighbourhood of x, u's degree in the child is deg_P(u) plus one when u
+is in mask, and x's is |mask|; u's neighbour-degree sum grows by
+|N_P(u) & mask| and, when u is in mask, by |mask|, and x's is the sum
+of deg_P(w) + 1 over mask.  P + x - u is P - u with x joined to the
+components that mask meets, so u is a non-cut vertex of the child
+exactly when every component of P - u meets mask; the components are
+computed once per parent.  x itself is never a cut vertex, because the
+parent is connected.  The test is invariant under the parent's
+automorphisms, so the passing masks are a union of orbits and are
+reduced to orbit representatives after it.  A tied rival u that is a
+twin of x (N(u) - x = N(x) - u, so swapping u and x is an automorphism)
+lies in x's orbit.  Triangles are compared on the child once it is
+built, before any labeling, and only with the other tied rivals: one
+with more triangles than x rejects the child, and one with fewer is no
+tie.  A child left with no tied rival but twins of x has v* in x's
+orbit and is kept unlabeled.  Only the rest are labeled, to find v* and
+the orbit of x.
 
 The classes are walked depth first from K_1, so memory holds one path
 of parents, not whole orders: each kept child below the order asked
@@ -110,8 +115,11 @@ def _accepted_masks(parent: Graph) -> dict[int, int]:
     # components of P - u, for each u
     parts = [component_masks(parent, full ^ 1 << u) for u in range(m)]
     top = max(deg[u] for u in range(m) if len(parts[u]) <= 1)
-    # largest degree first, so that a rejection tends to come early
+    # largest degree first, so that a rejection tends to come early;
+    # rivals[dx] stops at the first u that cannot reach degree dx, since
+    # every u after it has no larger degree
     order = sorted(range(m), key=lambda u: (-deg[u], -deg_sums[u]))
+    rivals = [[u for u in order if deg[u] + 1 >= dx] for dx in range(m + 1)]
     # mask_deg[mask]: the parent degrees summed over mask
     mask_deg = [0] * (1 << m)
     accepted = {}
@@ -123,24 +131,32 @@ def _accepted_masks(parent: Graph) -> dict[int, int]:
             continue
         sx = mask_deg[mask] + dx
         ties = 0
-        for u in order:
+        for u in rivals[dx]:
             inside = mask >> u & 1
             du = deg[u] + inside
             if du < dx:
                 continue
+            tie = False
             if du == dx:
                 su = deg_sums[u] + (adj[u] & mask).bit_count() + inside * dx
                 if su < sx:
                     continue
-                if su == sx:
-                    if all(part & mask for part in parts[u]):
-                        ties |= 1 << u
-                    continue
-            if all(part & mask for part in parts[u]):
-                break
+                tie = su == sx
+            for part in parts[u]:
+                if not part & mask:
+                    break  # u is a cut vertex of the child
+            else:
+                if not tie:
+                    break  # a non-cut u beats x: the mask is rejected
+                ties |= 1 << u
         else:
             accepted[mask] = ties
     return accepted
+
+
+def _triangles(adj: tuple[int, ...], nbhd: int) -> int:
+    """The edges inside nbhd; for nbhd = N(v), the triangles through v."""
+    return sum((adj[w] & nbhd).bit_count() for w in iter_bits(nbhd)) // 2
 
 
 def _orbit_representatives(masks: Iterable[int], gens: _Gens) -> Iterator[int]:
@@ -175,7 +191,8 @@ def _orbit_representatives(masks: Iterable[int], gens: _Gens) -> Iterator[int]:
 def _children(parent: Graph, gens: _Gens) -> Iterator[tuple[Graph, _Labeling | None]]:
     """The children of parent that the orbit rule keeps, in mask order.
 
-    gens must generate the parent's full automorphism group.  Each child
+    gens must generate the parent's full automorphism group.  The
+    triangle tie-break is decided on the built child, and each child
     comes with its labeling when the rule needed one, else None.
     """
     x = parent.n
@@ -183,7 +200,20 @@ def _children(parent: Graph, gens: _Gens) -> Iterator[tuple[Graph, _Labeling | N
     for mask in _orbit_representatives(accepted, gens):
         child = _extend(parent, mask)
         ties = accepted[mask]
-        if all(parent.adj[u] == mask & ~(1 << u) for u in iter_bits(ties)):
+        # tied rivals that are not twins of x: a twin u has N(u) - x =
+        # N(x) - u, so swapping u and x is an automorphism
+        rivals = [u for u in iter_bits(ties) if parent.adj[u] != mask & ~(1 << u)]
+        if rivals:
+            # the third invariant, on the built child: a rival with more
+            # triangles than x rejects the child, one with fewer is no tie
+            rows = child.adj
+            tri_x = _triangles(rows, mask)
+            tri = [_triangles(rows, rows[u]) for u in rivals]
+            if max(tri) > tri_x:
+                continue
+            ties &= ~sum(1 << u for u, t in zip(rivals, tri) if t < tri_x)
+            rivals = [u for u, t in zip(rivals, tri) if t == tri_x]
+        if not rivals:
             # no rival, or only twins of x, which share its orbit
             yield child, None
             continue

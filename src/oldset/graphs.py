@@ -334,17 +334,17 @@ def _degree_classes(g: Graph) -> dict[int, list[int]]:
     return classes
 
 
-def _twin_masks(g: Graph) -> list[VertexSet]:
+def _twin_masks(g: Graph, classes: dict[int, list[int]]) -> list[VertexSet]:
     """twin[v] marks every u != v whose swap with v is an automorphism.
 
     That holds exactly when N(u) - v = N(v) - u: equal neighbourhoods
     (open twins) or equal-after-removing-each-other plus the edge uv
     (closed twins).  Either way u and v have the same degree, so only
-    pairs within a degree class are compared.
+    pairs within one of classes, g's _degree_classes, are compared.
     """
     adj = g.adj
     twin = [0] * g.n
-    for group in _degree_classes(g).values():
+    for group in classes.values():
         for i, u in enumerate(group):
             for v in group[i + 1 :]:
                 if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
@@ -406,9 +406,11 @@ def _canonical_labeling(
     if n <= 1:
         return g, (), tuple(range(n))
 
-    degs = [row.bit_count() for row in adj]
-    slot_degs = sorted(degs)
-    twin = _twin_masks(g)
+    classes = _degree_classes(g)
+    twin = _twin_masks(g, classes)
+    # the vertices that may fill each slot: its degree class, in
+    # nondecreasing degree order
+    slot_class = [classes[d] for d in sorted(classes) for _ in classes[d]]
 
     placed: list[int] = []
     cols = [0] * n
@@ -420,7 +422,8 @@ def _canonical_labeling(
     # current prefix now matches best exactly
     version = 0
 
-    def descend(slot: int, tight: bool) -> None:
+    def descend(slot: int, used: VertexSet, tight: bool) -> None:
+        # used is the mask of placed
         nonlocal best, best_perm, version
         if slot == n:
             if best is None or not tight:
@@ -432,11 +435,9 @@ def _canonical_labeling(
                 # automorphism
                 tied.append(dict(zip(best_perm, placed)))
             return
-        want = slot_degs[slot]
-        used = mask_of(placed)
         ranked = []
-        for v in range(n):
-            if used >> v & 1 or degs[v] != want:
+        for v in slot_class[slot]:
+            if used >> v & 1:
                 continue
             col = 0
             row = adj[v]
@@ -459,14 +460,14 @@ def _canonical_labeling(
             cols[slot] = col
             placed.append(v)
             mark = version
-            descend(slot + 1, deeper_tight)
+            descend(slot + 1, used | 1 << v, deeper_tight)
             placed.pop()
             if version != mark:
                 # best now extends this very prefix
                 tight = True
         return
 
-    descend(0, False)
+    descend(0, 0, False)
     del descend  # its closure cell refers to it: one reference cycle a call
     index = {v: slot for slot, v in enumerate(best_perm)}
     rows = [0] * n

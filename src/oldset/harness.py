@@ -43,11 +43,11 @@ enumeration; for a stream it is a (record number, graph6 record) pair,
 which the sweep parses, examines and drops, so a pool's workers are
 sent record strings and parse them themselves.  In process the sweep
 holds one chunk at a time; a pool of W workers is handed the next chunk
-only while fewer than 2W are unfinished.  More than one job is an upper
-bound, not a promise of a pool: a sweep forks only when it has more
-than one chunk, a rule on the input's size alone, so one input always
-takes the same path.  A short stream of costly graphs therefore runs in
-process.
+only while fewer than W + 1 are unfinished, one for each worker and one
+queued behind them.  More than one job is an upper bound, not a promise
+of a pool: a sweep forks only when it has more than one chunk, a rule
+on the input's size alone, so one input always takes the same path.  A
+short stream of costly graphs therefore runs in process.
 """
 
 from __future__ import annotations
@@ -311,9 +311,10 @@ def run_harness(
     extremal are solved exactly, and only graphs that land in a report
     list get a canonical certificate.  The input is pulled in chunks of
     _CHUNK items as the sweep goes, and jobs > 1 allows a pool of
-    min(jobs, CPU count, chunks) workers, with at most two unfinished
-    chunks per worker: a sweep of at most _CHUNK items runs in process
-    however costly its graphs are.  The path cannot change the report.
+    min(jobs, CPU count, chunks) workers, with at most one unfinished
+    chunk per worker and one more: a sweep of at most _CHUNK items runs
+    in process however costly its graphs are.  The path cannot change
+    the report.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -332,7 +333,7 @@ def run_harness(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            swept = list(_in_order(pool, work, 2 * workers))
+            swept = list(_in_order(pool, work, workers + 1))
     else:
         swept = starmap(_sweep, work)
 

@@ -23,6 +23,7 @@ from oldset.enumeration import (
     _children,
     _extend,
     _orbit_representatives,
+    _triangles,
 )
 from oldset.graphs import _canonical_labeling, component_masks
 
@@ -283,7 +284,7 @@ def test_classes_through_order_8_are_pinned():
         for g in enumerate_connected_graphs(n):
             digest.update(repr((g.n, g.adj, canonical_form(g))).encode())
     assert digest.hexdigest() == (
-        "f2f046de8ab9bf656653e4b73262deb3c2caf6782c4dff461558ed321c55ba93"
+        "13f2bd1dc43d57f7000b3317b32248fe14d1081c5fa2e350ce4cde2cb0787a5b"
     )
 
 
@@ -305,8 +306,10 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     # built children labeled 1,468; dropping duplicates by certificate
     # labeled all 1,049 built children.  The orbit rule labels only the
     # 142 parents of order 2..6 (the walk starts from K_1 as it is) and
-    # the children whose new vertex ties a rival that is not its twin,
-    # and a labeled child that is kept keeps its labeling as a parent
+    # the children whose new vertex ties a rival that is not its twin on
+    # all three invariants (358 labelings, 214 at order 7, before
+    # triangles broke ties), and a labeled child that is kept keeps its
+    # labeling as a parent
     built = []
     labeled = []
 
@@ -322,10 +325,10 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     monkeypatch.setattr(oldset.enumeration, "_canonical_labeling", counted_labeling)
     assert len(list(enumerate_connected_graphs(7))) == 853
     assert len(built) == 1049
-    assert len(labeled) == 358
+    assert len(labeled) == 299
     assert labeled.count(1) == 0
     # the swept order is labeled only where the rule needs it
-    assert labeled.count(7) == 214
+    assert labeled.count(7) == 157
 
 
 def test_parent_side_filter_matches_the_rule_on_built_children():
@@ -354,9 +357,9 @@ def test_parent_side_filter_matches_the_rule_on_built_children():
 def _orbit_rule(child: Graph) -> bool:
     """The orbit rule on a built child, from its own labeling.
 
-    v* is the non-cut vertex greatest on (degree, neighbour-degree sum),
-    ties broken by the largest canonical label; the rule keeps the child
-    when its new vertex lies in v*'s orbit.
+    v* is the non-cut vertex greatest on (degree, neighbour-degree sum,
+    triangles through it), ties broken by the largest canonical label;
+    the rule keeps the child when its new vertex lies in v*'s orbit.
     """
     n = child.n
     full = (1 << n) - 1
@@ -364,7 +367,9 @@ def _orbit_rule(child: Graph) -> bool:
     deg = [row.bit_count() for row in child.adj]
 
     def rank(v):
-        return deg[v], sum(deg[w] for w in iter_bits(child.adj[v]))
+        nbrs = list(iter_bits(child.adj[v]))
+        triangles = sum(child.adj[a] >> b & 1 for a, b in combinations(nbrs, 2))
+        return deg[v], sum(deg[w] for w in nbrs), triangles
 
     non_cut = [v for v in range(n) if len(component_masks(child, full ^ 1 << v)) <= 1]
     best = max(rank(v) for v in non_cut)
@@ -397,8 +402,8 @@ def test_unlabeled_verdicts_match_the_orbit_rule():
                 child = _extend(parent, mask)
                 assert (child.adj in kept) == _orbit_rule(child)
         assert len(set(certs)) == len(certs) == CONNECTED_COUNTS[m + 1]
-    # most kept children need no labeling: at order 7, 691 of 853
-    assert unlabeled == 691
+    # most kept children need no labeling: at order 7, 717 of 853
+    assert unlabeled == 717
 
 
 def test_cut_vertices_match_networkx_articulation_points():
@@ -423,3 +428,33 @@ def test_cut_vertices_match_networkx_articulation_points():
         checked += 1
     # connected graphs of order 1..7
     assert checked == sum(CONNECTED_COUNTS[n] for n in range(1, 8))
+
+
+def test_triangle_counts_match_networkx():
+    # the third invariant of the canonical deletion
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        g = Graph(len(h), [sum(1 << u for u in h[v]) for v in range(len(h))])
+        counts = nx.triangles(h)
+        assert [_triangles(g.adj, row) for row in g.adj] == [counts[v] for v in h]
+
+
+def test_labelings_of_every_class_through_order_7_are_pinned():
+    # the whole output of the labeling search (relabeled rows, generators,
+    # labels) on every graph of order <= 7, connected or not, as the
+    # networkx atlas labels it and under a seeded relabeling, so a faster
+    # search is shown to return what the slower one did
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for h in nx.graph_atlas_g():
+        n = len(h)
+        g = Graph(n, [sum(1 << u for u in h[v]) for v in range(n)])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for graph in (g, from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])):
+            canon, gens, label = _canonical_labeling(graph)
+            digest.update(repr((canon.adj, gens, label)).encode())
+    assert digest.hexdigest() == (
+        "3d0e3dfe85df6658d13ff48012f8fb9732474c60c2e82c2ef31cd4ecc2231bbd"
+    )
