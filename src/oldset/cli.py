@@ -342,8 +342,9 @@ def _build_parser() -> _Parser:
         type=_positive,
         default=1,
         help="upper bound on worker processes, capped at the CPU count and "
-        f"at one per chunk of {_CHUNK} records (graphs of a census), so a "
-        "sweep of one chunk never forks",
+        f"at one per unit: a chunk of {_CHUNK} records, or one of the 853 "
+        "subtrees of a census of order 8 or more; a stream of one chunk and "
+        "a census of order 7 or less never fork",
     )
     verify.set_defaults(entry=_cmd_verify)
     return parser

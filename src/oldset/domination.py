@@ -39,7 +39,7 @@ below.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -112,12 +112,13 @@ def domination_forced(g: Graph) -> dict[int, int]:
     return witness
 
 
-def _one_vertex_differences(
-    adj: tuple[VertexSet, ...], classes: dict[int, list[int]]
-) -> Iterator[tuple[int, int, VertexSet]]:
-    """(x, y, N(x) xor N(y)) for each pair of rows that differ in one
-    vertex, x of degree d and y of degree d + 1, from the degree classes
-    of the graph with rows adj."""
+def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
+    """Map each location-forced vertex to its least witness pair (x, y),
+    x < y, in increasing order of the pairs."""
+    adj = g.adj
+    classes = _degree_classes(g)
+    found = []
+    # rows that differ in one vertex have adjacent degrees
     for degree, low in classes.items():
         high = classes.get(degree + 1)
         if high:
@@ -126,18 +127,9 @@ def _one_vertex_differences(
                 for y in high:
                     diff = row ^ adj[y]
                     if diff & (diff - 1) == 0:
-                        yield x, y, diff
-
-
-def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
-    """Map each location-forced vertex to its least witness pair (x, y),
-    x < y."""
-    found = sorted(
-        ((min(x, y), max(x, y)), diff)
-        for x, y, diff in _one_vertex_differences(g.adj, _degree_classes(g))
-    )
+                        found.append(((min(x, y), max(x, y)), diff))
     witness: dict[int, tuple[int, int]] = {}
-    for pair, diff in found:
+    for pair, diff in sorted(found):
         witness.setdefault(diff.bit_length() - 1, pair)
     return witness
 
@@ -157,8 +149,7 @@ def classify_forced(
     dom_mask = 0
     for w in classes.get(1, ()):
         dom_mask |= adj[w]
-    # the pairs of _one_vertex_differences, ORed in place: the masks need
-    # no witness, and a generator would be resumed once per pair
+    # location_forced's loop, ORed in place: the masks need no witness
     loc_mask = 0
     for degree, low in classes.items():
         high = classes.get(degree + 1)

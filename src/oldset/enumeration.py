@@ -65,6 +65,13 @@ for the orbit rule keeps that labeling), and walked before its next
 sibling.  The order asked for is yielded unlabeled, in a deterministic
 generation order: canonical_form labels a class on demand.
 
+A census can be split as geng splits one into res/mod parts (McKay and
+Piperno 2014, *Practical graph isomorphism, II*, J. Symbolic Comput.
+60): walk to a split order once, then deal out the classes there, each
+the root of a subtree that is walked on its own.  The subtrees are
+disjoint and cover the order asked for, so a worker that walks the
+subtrees of its share finds exactly its share of the classes.
+
 Counts through MAX_BUILTIN_ORDER match the standard tables (OEIS
 A001349): 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571 connected
 classes for n = 1..10.
@@ -226,17 +233,62 @@ def _children(parent: Graph, gens: _Gens) -> Iterator[tuple[Graph, _Labeling | N
             yield child, labeling
 
 
-def _walk(parent: Graph, gens: _Gens, n: int) -> Iterator[Graph]:
+def _walk(parent: Graph, gens: _Gens, n: int, labeled: bool = False) -> Iterator:
     """Each connected class of order n that descends from parent, in
     generation order; gens must generate parent's full automorphism
-    group.  A kept child below order n is labeled and walked in turn."""
+    group.  A kept child below order n is labeled and walked in turn.
+    With labeled, each class comes canonically labeled, with the
+    generators of its group, ready to be walked itself."""
     for child, labeling in _children(parent, gens):
-        if child.n == n:
+        if child.n == n and not labeled:
             yield child
+            continue
+        canon, child_gens, _ = labeling or _canonical_labeling(child)
+        if child.n == n:
+            yield canon, child_gens
         else:
-            canon, child_gens, _ = labeling or _canonical_labeling(child)
             # child_gens name canon's vertices, and canon fixes the walk order
-            yield from _walk(canon, child_gens, n)
+            yield from _walk(canon, child_gens, n, labeled)
+
+
+_K1 = _graph(1, (0,))
+
+# a census above this order is split into one unit of work per class of
+# this order: the subtree of the walk below it.  The walk to order 7
+# takes about 30 ms and yields 853 units, so a sweep of order 8 or more
+# deals them out to its workers, and one of order 7 or less is one unit
+_SPLIT_ORDER = 7
+
+
+class _Census:
+    """The stream enumerate_connected_graphs returns, which a sweep can
+    also take apart.
+
+    Iterated, it walks the classes in generation order.  Its units, the
+    subtrees below the classes of order _SPLIT_ORDER, yield the same
+    classes in the same order one after the other, so workers that deal
+    the units out between them walk the census once between them and no
+    graph has to pass from one process to another.  A census that has
+    started to yield, or whose order is at most _SPLIT_ORDER, is one unit.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._graphs: Iterator[Graph] | None = None
+
+    def __iter__(self) -> _Census:
+        return self
+
+    def __next__(self) -> Graph:
+        if self._graphs is None:
+            self._graphs = _walk(_K1, (), self.n) if self.n > 1 else iter((_K1,))
+        return next(self._graphs)
+
+    def _units(self) -> list[Iterator[Graph]]:
+        if self._graphs is not None or self.n <= _SPLIT_ORDER:
+            return [self]
+        roots = _walk(_K1, (), _SPLIT_ORDER, labeled=True)
+        return [_walk(canon, gens, self.n) for canon, gens in roots]
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
@@ -247,11 +299,11 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     demand.  Only 1 <= n <= MAX_BUILTIN_ORDER is built in; larger
     orders are out of scope for the exhaustive machinery.
     The order is checked on the call; the walk starts on the first
-    next().
+    next().  Handed to run_harness as it is, the census is split
+    between the sweep's workers.
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_BUILTIN_ORDER}, got {n}"
         )
-    k1 = _graph(1, (0,))
-    return _walk(k1, (), n) if n > 1 else iter((k1,))
+    return _Census(n)

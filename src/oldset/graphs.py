@@ -92,9 +92,9 @@ class Graph:
 
     def __reduce__(self):
         # immutability guard breaks slot-based pickling; rebuild instead,
-        # unvalidated: only the package's own process-pool workers
-        # unpickle these bytes
-        return (_graph, (self.n, self.adj))
+        # through the validating constructor, since the package itself
+        # never unpickles a graph and the bytes may come from anywhere
+        return (Graph, (self.n, self.adj))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

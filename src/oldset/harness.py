@@ -36,30 +36,36 @@ finding (an order mismatch, an extremal or exactly solved graph, a
 violation).  The labeling search is exponential and would otherwise run
 on every input graph to key rows that are then dropped.
 
-The sweep pulls its input in chunks of _CHUNK items as it goes, and
-each chunk returns its counts, its parse errors and only its named
-rows, folded in chunk order.  For a census an item is a graph of the
-enumeration; for a stream it is a (record number, graph6 record) pair,
-which the sweep parses, examines and drops, so a pool's workers are
-sent record strings and parse them themselves.  In process the sweep
-holds one chunk at a time; a pool of W workers is handed the next chunk
-only while fewer than W + 1 are unfinished, one for each worker and one
-queued behind them.  More than one job is an upper bound, not a promise
-of a pool: a sweep forks only when it has more than one chunk, a rule
-on the input's size alone, so one input always takes the same path.  A
-short stream of costly graphs therefore runs in process.
+The sweep works in units.  A census that enumerate_connected_graphs
+returns is split into the subtrees below its classes of order 7
+(enumeration._SPLIT_ORDER), so
+beyond order 7 no worker walks the whole census; any other input is
+pulled in chunks of _CHUNK items as the sweep goes.  For a census an
+item is a graph of the enumeration; for a stream it is a (record
+number, graph6 record) pair, which the sweep parses, examines and
+drops.  Each unit returns its counts, its parse errors and only its
+named rows, folded in unit order.  More than one job is an upper bound,
+not a promise of workers: a sweep forks only when it has more than one
+unit, a rule on the input's size alone (a stream of more than one
+chunk, a census of order 8 or more), so one input always takes the same
+path.  The workers are forked once the input is ready, this process
+being worker 0, and worker r sweeps the units whose index is r mod the
+worker count; each goes through every unit, passing over the others'
+without parsing a record or walking a subtree, and holds one chunk at
+a time past the first W, peeked at to count them.  Only rows come back over the pipes, never a graph.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
-from collections import deque
-from itertools import chain, count, islice, repeat, starmap
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, islice
+from typing import Iterable, NamedTuple
 
 from .domination import classify_forced, old_number
+from .enumeration import _Census
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
 from .graphs import (
     CANONICAL_ORDER_LIMIT,
@@ -73,12 +79,13 @@ from .halfgraphs import is_union_of_half_graphs
 
 __all__ = ["HarnessReport", "run_harness"]
 
-# Items per unit of work: graphs of a census, records of a stream (a
-# record that does not parse counts too).  A pool costs 70-100 ms to
-# start on two cores and a cheap graph well under 0.1 ms to examine, so
-# a sweep of one chunk runs in process: the 3,000-graph stream and the
-# order-8 census (11,117 graphs) never fork, a 60,000-graph stream does.
-_CHUNK = 16384
+# Items per unit of work of an input that is not a census: graphs, or
+# records of a stream (a record that does not parse counts too).  On two
+# cores forking costs about 5 ms and a stream record about 16 us to
+# examine, so a stream of at most one chunk runs in process: split, 600
+# and 1,000 records took 4-5 ms longer.  1,500 splits the 3,000-record
+# stream evenly, and two workers took it from 111 to 96 ms
+_CHUNK = 1500
 
 
 class HarnessReport:
@@ -236,60 +243,126 @@ def _examine(g: Graph) -> _Row:
 
 
 def _sweep(
-    n: int, start: int, chunk: list[Graph | tuple[int, str]]
-) -> tuple[int, int, list[str], list[tuple[str, int, _Row]]]:
-    """Examine chunk, whose first item has input index start.
+    n: int, unit: int, items: Iterable[Graph | tuple[int, str]]
+) -> tuple[int, int, list[str], list[tuple[str, tuple[int, int], _Row]]]:
+    """Examine the items of unit, the unit-th unit of the input.
 
     An item is a graph, or a (record number, graph6 record) pair that
-    is parsed here, its graph examined and dropped; the record number
-    is then its input index.  Returns the number of graphs examined,
-    the number of locatable ones, the error of each record that does
-    not parse, in chunk order, and (certificate, input index, row) for
-    each graph the report names.
+    is parsed here, its graph examined and dropped.  Returns the number
+    of graphs examined, the number of locatable ones, the error of each
+    record that does not parse, in input order, and (certificate, input
+    index, row) for each graph the report names.  The input index is
+    (unit, position in unit), so input indices sort in input order.
     """
     scanned = locatable = 0
     errors = []
     named = []
-    for index, item in enumerate(chunk, start):
+    # taken _CHUNK items at a time: walking part of a census subtree and
+    # then examining it is faster than interleaving the two (the order-7
+    # census went 33.5 to 31 ms), and a chunk is all that is held
+    items = iter(items)
+    chunks = iter(lambda: list(islice(items, _CHUNK)), [])
+    for index, item in enumerate(chain.from_iterable(chunks)):
         if isinstance(item, Graph):
             g = item
         else:
-            index, record = item
             try:
-                g = parse_graph6(record)
+                g = parse_graph6(item[1])
             except GraphFormatError as exc:
-                errors.append(f"record {index}: {exc}")
+                errors.append(f"record {item[0]}: {exc}")
                 continue
         scanned += 1
         row = _examine(g)
         locatable += row.locatable
         if row.order != n or row.gamma is not None or row.bondy_bad or row.prop2_bad:
-            named.append((_cert(g), index, row))
+            named.append((_cert(g), (unit, index), row))
     return scanned, locatable, errors, named
 
 
-def _in_order(pool, work: Iterator[tuple], limit: int) -> Iterator[tuple]:
-    """The pool's _sweep of each argument triple of work, in work's order.
+def _share(units: Iterable[Iterable], n: int, r: int, w: int) -> list[tuple[int, tuple]]:
+    """(i, _sweep of unit i) for each unit i of units with i = r mod w.
 
-    The next chunk is pulled from work only while fewer than limit
-    submitted chunks are unfinished, so the input in flight stays
-    bounded while every worker has a chunk to take; a finished chunk's
-    result waits for the chunks before it.
+    Every worker of a sweep goes through all the units, in order, and
+    passes over the other workers' units without examining them: a
+    chunk of records is split off the input but not parsed, a census
+    subtree is not walked.
     """
-    from concurrent.futures import FIRST_COMPLETED, wait
+    return [(i, _sweep(n, i, unit)) for i, unit in enumerate(units) if i % w == r]
 
-    submitted: deque = deque()
-    unfinished: set = set()
-    for args in work:
-        future = pool.submit(_sweep, *args)
-        submitted.append(future)
-        unfinished.add(future)
-        if len(unfinished) == limit:
-            _, unfinished = wait(unfinished, return_when=FIRST_COMPLETED)
-        while submitted and submitted[0].done():
-            yield submitted.popleft().result()
-    for future in submitted:
-        yield future.result()
+
+def _forked(units: Iterable[Iterable], n: int, w: int) -> list[tuple[int, tuple]]:
+    """_share(units, n, r, w) for r = 0..w-1, in one list.
+
+    This process is worker 0.  Each other worker is a child forked once
+    the input is ready, so it inherits units as they stand; it sends its
+    results back pickled, over a pipe, and ends with os._exit.  A child
+    that raises, or that dies, makes this raise once the children have
+    ended.
+    """
+    # only a sweep that forks imports these, and before the fork, so
+    # that no child imports pickle again
+    import pickle  # noqa: F401
+    import signal
+
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()  # else a child could write the buffered text again
+    children = []
+    try:
+        for r in range(1, w):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(units, n, r, w, write)
+            os.close(write)
+            children.append((r, pid, read))
+        swept = _share(units, n, 0, w)
+        while children:
+            swept += _reap(*children.pop(0))
+        return swept
+    finally:
+        # only when this process raised: stop the children it leaves
+        for _, pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(units: Iterable[Iterable], n: int, r: int, w: int, write: int) -> None:
+    """Worker r's life in a forked child: sweep its share, send the
+    results (or the traceback of what it raised) through write, exit."""
+    status = 1
+    try:
+        try:
+            payload = (True, _share(units, n, r, w))
+        except BaseException:
+            import traceback
+
+            payload = (False, traceback.format_exc())
+        import pickle
+
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(r: int, pid: int, read: int) -> list[tuple[int, tuple]]:
+    """What forked worker r sent over read, once it has ended."""
+    import pickle
+
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise RuntimeError(f"sweep worker {r} ended with wait status {status}")
+    ok, payload = pickle.loads(data)
+    if not ok:
+        raise RuntimeError(f"sweep worker {r} raised:\n{payload}")
+    return payload
 
 
 def run_harness(
@@ -309,37 +382,41 @@ def run_harness(
     OLD sets are OLD sets and a forced vertex can never be dropped.
     Only graphs that this certificate or half-graph recognition calls
     extremal are solved exactly, and only graphs that land in a report
-    list get a canonical certificate.  The input is pulled in chunks of
-    _CHUNK items as the sweep goes, and jobs > 1 allows a pool of
-    min(jobs, CPU count, chunks) workers, with at most one unfinished
-    chunk per worker and one more: a sweep of at most _CHUNK items runs
-    in process however costly its graphs are.  The path cannot change
-    the report.
+    list get a canonical certificate.
+
+    The sweep's units of work are the subtrees of a census that
+    enumerate_connected_graphs returns (see its _units), or else chunks
+    of _CHUNK items pulled from graphs as the sweep goes.  jobs > 1
+    allows min(jobs, CPU count, units) workers, forked where os.fork
+    exists, worker r sweeping the units whose index is r mod the worker
+    count.  Every worker goes through all of graphs, so a plain iterable
+    must hold its items in memory, as a list or the CLI's reader does,
+    not read them from a file as it goes.  The path cannot change the
+    report.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
     started = time.perf_counter()
-    graphs = iter(graphs)
-    chunks = iter(lambda: list(islice(graphs, _CHUNK)), [])
-    # the pool forks every worker on its first task, so never ask for
-    # more than there are cores, or chunks to hand out: peek at that
-    # many, reversed so that each is popped, and freed, as the sweep takes it
-    peeked = list(islice(chunks, min(jobs, os.cpu_count() or 1)))[::-1]
-    workers = len(peeked)
-    ahead = (peeked.pop() for _ in range(workers))
-    work = zip(repeat(n), count(0, _CHUNK), chain(ahead, chunks))
-    if workers > 1:
-        # imported here: a sweep that never forks should not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            swept = list(_in_order(pool, work, workers + 1))
+    cap = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if isinstance(graphs, _Census):
+        units = graphs._units()
+        workers = min(cap, len(units))
     else:
-        swept = starmap(_sweep, work)
+        items = iter(graphs)
+        chunks = iter(lambda: list(islice(items, _CHUNK)), [])
+        # never more workers than chunks: peek at up to cap of them,
+        # reversed so that each is popped, and freed, as a worker passes it
+        peeked = list(islice(chunks, cap))[::-1]
+        workers = len(peeked)
+        units = chain((peeked.pop() for _ in range(workers)), chunks)
+    if workers > 1:
+        swept = sorted(_forked(units, n, workers))
+    else:
+        swept = _share(units, n, 0, 1)
 
     report = HarnessReport(n)
     named = []
-    for scanned, locatable, errors, rows in swept:
+    for _, (scanned, locatable, errors, rows) in swept:
         report.graphs_scanned += scanned
         report.locatable_count += locatable
         report.record_errors.extend(errors)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import importlib.util
 import io
 import json
@@ -469,28 +468,32 @@ _MIXED_REPORT = (
 def test_a_mixed_stream_reports_the_same_in_process_pooled_and_on_stdin(
     tmp_path, capsys, monkeypatch
 ):
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
+    forks = []
+    fork = os.fork
 
-    def counted(max_workers):
-        started.append(max_workers)
-        return real(max_workers=max_workers)
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(oldset.harness, "_CHUNK", 3)  # 12 records, 4 chunks
     path = tmp_path / "mixed.g6"
     path.write_text(_MIXED_STREAM)
     argv = ["verify", "--format", "structured", "--stream"]
     solo = _run(capsys, *argv, str(path), "--jobs", "1")
     assert solo == (0, _MIXED_REPORT, "")
-    assert started == []
+    assert forks == []
     assert _run(capsys, *argv, str(path), "--jobs", "2") == solo
-    assert started == [2]
+    assert len(forks) == 1
+    assert _run(capsys, *argv, str(path), "--jobs", "3") == solo
+    assert len(forks) == 1 + 2
     stdin = io.TextIOWrapper(io.BytesIO(_MIXED_STREAM.encode()), encoding="ascii")
     monkeypatch.setattr(sys, "stdin", stdin)
     assert _run(capsys, *argv, "-", "--jobs", "2") == solo
-    assert started == [2, 2]
+    assert len(forks) == 3 + 1
     errors = json.loads(solo[1])["record_errors"]
     numbers = [
         int(e.split(":")[0].removeprefix("record "))
@@ -609,9 +612,9 @@ def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
 
 
 def test_cli_import_leaves_slow_modules_unloaded():
-    # dataclasses pulls in inspect, ast, dis and tokenize, and the pool
-    # module is imported only by a sweep that forks; a cold start pays
-    # for neither
+    # dataclasses pulls in inspect, ast, dis and tokenize, and pickle is
+    # imported only by a sweep that forks; a cold start pays for neither
+    # and no sweep imports a process pool
     probe = (
         "import sys; before = set(sys.modules); import oldset; "
         "import oldset.cli; print(' '.join(sorted(set(sys.modules) - before)))"
@@ -621,7 +624,12 @@ def test_cli_import_leaves_slow_modules_unloaded():
     loaded = done.stdout.split()
     assert "oldset.cli" in loaded
     assert "dataclasses" not in loaded
+    assert "pickle" not in loaded
     assert "concurrent.futures" not in loaded
+    assert "multiprocessing" not in loaded
+    for path in Path(oldset.__file__).parent.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        assert "concurrent" not in source and "multiprocessing" not in source, path
     # the package is stdlib-only; CI installs test-only third-party
     # packages, so an import of one from src/ would otherwise pass
     third_party = [

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import random
+import signal
 
 import pytest
 
@@ -352,11 +352,6 @@ def test_mixed_stream_violations_are_deterministic(monkeypatch):
     # and solves one short of its order, filling the remaining lists
     monkeypatch.setattr(oldset.harness, "classify_forced", _everything_forced)
     monkeypatch.setattr(oldset.harness, "old_number", _gamma_one_short)
-    monkeypatch.setattr(
-        concurrent.futures,
-        "ProcessPoolExecutor",
-        lambda max_workers: _InProcessPool(),
-    )
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     stream = _mixed_stream()
     report = _the_one_report(stream, monkeypatch)
@@ -382,38 +377,43 @@ def test_report_deterministic_across_worker_counts():
     assert solo.to_json() == pooled.to_json()
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor without starting a process."""
+def _dealt_in_process(calls):
+    """A stand-in for harness._forked that records each worker count in
+    calls and sweeps every worker's share in this process."""
 
-    def __enter__(self):
-        return self
+    def forked(units, n, w):
+        calls.append(w)
+        units = list(units)
+        return [row for r in range(w) for row in oldset.harness._share(units, n, r, w)]
 
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    return forked
 
 
-def _recording_pool(sizes):
-    """A ProcessPoolExecutor stand-in that records its worker count."""
+def _counted_forks(monkeypatch):
+    """The pids os.fork returns in this process from now on."""
+    forks = []
+    fork = os.fork
 
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return _InProcessPool()
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    return pool
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
     from oldset.cli import main
 
     sizes = []
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", _recording_pool(sizes)
-    )
+    monkeypatch.setattr(oldset.harness, "_forked", _dealt_in_process(sizes))
     monkeypatch.setattr(oldset.harness, "_CHUNK", 2)
     graphs = list(enumerate_connected_graphs(5))  # 21 graphs, 11 chunks
     solo = run_harness(graphs, 5).to_json()
@@ -435,27 +435,50 @@ def test_pool_is_capped_by_cores_and_chunks(monkeypatch):
         assert report.graphs_scanned == count
         if count == len(graphs):
             assert report.to_json() == solo
+    # a census of order 8 or more is 853 subtrees, whatever the chunk size
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sizes.clear()
     assert main(["verify", "--n", "5", "--jobs", "5000", "--format", "structured"]) == 0
+    assert sizes == []
+    assert main(["verify", "--n", "8", "--jobs", "5000", "--format", "structured"]) == 0
     assert sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 5000)
+    assert run_harness(enumerate_connected_graphs(8), 8, jobs=5000).graphs_scanned == 11117
+    assert sizes == [2, 853]
 
 
 def test_a_sweep_forks_by_its_size_alone(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", _recording_pool(sizes)
-    )
+    forks = _counted_forks(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     chunk = oldset.harness._CHUNK
     k1 = from_edges(1, [])
     # the cheapest graph there is: only the count decides, every time
     for _ in range(3):
         assert run_harness([k1] * chunk, 1, jobs=2).graphs_scanned == chunk
-        assert sizes == []
+        assert forks == []
     for _ in range(3):
         assert run_harness([k1] * (chunk + 1), 1, jobs=2).graphs_scanned == chunk + 1
-    assert sizes == [2, 2, 2]
+    assert len(forks) == 3
+    # a census by its order: up to order 7 it is one unit
+    for n in (6, 7):
+        assert run_harness(enumerate_connected_graphs(n), n, jobs=2).violations == 0
+    assert len(forks) == 3
+    assert run_harness(enumerate_connected_graphs(8), 8, jobs=2).violations == 0
+    assert len(forks) == 4
+    _no_children_left()
+
+
+def test_a_sweep_without_fork_runs_in_process(monkeypatch):
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    graphs = list(enumerate_connected_graphs(6))
+    solo = run_harness(graphs, 6).to_json()
+    monkeypatch.delattr(os, "fork")
+    sizes = []
+    monkeypatch.setattr(oldset.harness, "_forked", _dealt_in_process(sizes))
+    assert run_harness(graphs, 6, jobs=2).to_json() == solo
+    assert run_harness(enumerate_connected_graphs(8), 8, jobs=2).graphs_scanned == 11117
+    assert sizes == []
 
 
 def test_the_sweep_pulls_its_input_one_chunk_at_a_time(monkeypatch):
@@ -474,9 +497,9 @@ def test_the_sweep_pulls_its_input_one_chunk_at_a_time(monkeypatch):
     ahead = []
     sweep = oldset.harness._sweep
 
-    def watched(n, start, chunk):
-        ahead.append(pulled - start)
-        return sweep(n, start, chunk)
+    def watched(n, unit, items):
+        ahead.append(pulled - 3 * unit)
+        return sweep(n, unit, items)
 
     monkeypatch.setattr(oldset.harness, "_sweep", watched)
     report = run_harness(counted(), 5, jobs=1)
@@ -508,9 +531,9 @@ def test_the_sweep_pulls_a_stream_one_chunk_at_a_time(monkeypatch, tmp_path, cap
     ahead = []
     sweep = oldset.harness._sweep
 
-    def watched(n, start, chunk):
-        ahead.append(pulled - start)
-        return sweep(n, start, chunk)
+    def watched(n, unit, items):
+        ahead.append(pulled - 3 * unit)
+        return sweep(n, unit, items)
 
     monkeypatch.setattr(oldset.cli, "_lines", counted)
     monkeypatch.setattr(oldset.harness, "_sweep", watched)
@@ -520,19 +543,35 @@ def test_the_sweep_pulls_a_stream_one_chunk_at_a_time(monkeypatch, tmp_path, cap
     assert ahead == [3] * 7
 
 
+def _holds_a_graph(value) -> bool:
+    if isinstance(value, Graph):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(map(_holds_a_graph, value))
+    return False
+
+
 def test_a_pool_is_sent_records_not_graphs(monkeypatch, tmp_path, capsys):
+    # each worker parses the records of its own chunks, and only rows of
+    # results come back from a forked worker, never a graph
     from oldset.cli import main
 
-    sent = []
+    swept = []
+    sweep = oldset.harness._sweep
 
-    class Recording(_InProcessPool):
-        def submit(self, fn, *args):
-            sent.append(args[2])
-            return super().submit(fn, *args)
+    def watched(n, unit, items):
+        swept.append((unit, items))
+        return sweep(n, unit, items)
 
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: Recording()
-    )
+    reaped = []
+    reap = oldset.harness._reap
+
+    def kept(r, pid, read):
+        reaped.append(reap(r, pid, read))
+        return reaped[-1]
+
+    monkeypatch.setattr(oldset.harness, "_sweep", watched)
+    monkeypatch.setattr(oldset.harness, "_reap", kept)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(oldset.harness, "_CHUNK", 40)
     records = [to_graph6(g) for g in _mixed_stream()] + ["!!!"]  # 120 records
@@ -541,19 +580,22 @@ def test_a_pool_is_sent_records_not_graphs(monkeypatch, tmp_path, capsys):
     argv = ["verify", "--stream", str(path), "--n", "6", "--format", "structured"]
     assert main(argv + ["--jobs", "1"]) == 0
     solo = capsys.readouterr().out
-    assert sent == []
+    assert [unit for unit, _ in swept] == [0, 1, 2]
+    assert reaped == []
+    swept.clear()
     assert main(argv + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == solo
-    assert [len(chunk) for chunk in sent] == [40, 40, 40]
-    items = [item for chunk in sent for item in chunk]
+    # this process is worker 0, and its child worker 1
+    assert [unit for unit, _ in swept] == [0, 2]
+    assert [[unit for unit, _ in results] for results in reaped] == [[1]]
+    assert not _holds_a_graph(reaped)
+    items = [item for _, chunk in swept for item in chunk]
     assert all(
         type(item) is tuple and list(map(type, item)) == [int, str] for item in items
     )
-    assert items == list(enumerate(records, 1))
-
-
-def _no_pool(max_workers):
-    raise AssertionError("a cheap sweep started a process pool")
+    numbered = list(enumerate(records, 1))
+    assert items == numbered[:40] + numbered[80:]
+    _no_children_left()
 
 
 def test_a_cheap_sweep_starts_no_pool(monkeypatch, tmp_path, capsys):
@@ -565,61 +607,108 @@ def test_a_cheap_sweep_starts_no_pool(monkeypatch, tmp_path, capsys):
     assert main(argv + ["--jobs", "1"]) == 0
     solo = capsys.readouterr().out
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+
+    def no_fork():
+        raise AssertionError("a cheap sweep forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     assert main(argv + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == solo
+    assert main(["verify", "--n", "7", "--jobs", "2"]) == 0
 
 
 def test_a_real_pool_keeps_the_report(monkeypatch):
-    # graphs and rows cross a process boundary, through Graph.__reduce__
-    # and _Row, only on this path
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def counted(max_workers):
-        started.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # rows cross a process boundary, pickled, only on this path
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(oldset.harness, "_CHUNK", 40)  # 112 graphs, 3 chunks
-    solo = run_harness(enumerate_connected_graphs(6), 6).to_json()
-    pooled = run_harness(enumerate_connected_graphs(6), 6, jobs=2).to_json()
-    assert started == [2]
-    assert pooled == solo
+    graphs = list(enumerate_connected_graphs(6))
+    solo = run_harness(graphs, 6).to_json()
+    assert forks == []
+    for jobs in (2, 3):
+        assert run_harness(graphs, 6, jobs=jobs).to_json() == solo
+    assert len(forks) == 1 + 2
+    census = run_harness(enumerate_connected_graphs(8), 8).to_json()
+    for jobs in (2, 3):
+        assert run_harness(enumerate_connected_graphs(8), 8, jobs=jobs).to_json() == census
+    assert len(forks) == 3 + 1 + 2
+    _no_children_left()
 
 
 def test_a_pool_holds_a_bounded_number_of_chunks(monkeypatch):
     # 853 graphs of order 7 in chunks of 64 make 14 chunks; the input
     # comes from a list, so it could be pulled far faster than two
-    # workers sweep it
-    real = concurrent.futures.ProcessPoolExecutor
-    submitted = []
-
-    class Watched(real):
-        def submit(self, fn, *args):
-            future = super().submit(fn, *args)
-            submitted.append(future)
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Watched)
+    # workers sweep it.  Worker 0, this process, holds the two chunks
+    # peeked at before the fork, then only the chunk it sweeps
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(oldset.harness, "_CHUNK", 64)
     graphs = list(enumerate_connected_graphs(7))
-    ahead = []
+    pulled = 0
 
     def counted():
-        for index, g in enumerate(graphs):
-            if index % 64 == 0:
-                # this chunk and every submitted one not yet finished
-                ahead.append(1 + sum(not f.done() for f in submitted))
+        nonlocal pulled
+        for g in graphs:
+            pulled += 1
             yield g
 
+    held = []
+    sweep = oldset.harness._sweep
+
+    def watched(n, unit, items):
+        held.append(pulled - 64 * unit)
+        return sweep(n, unit, items)
+
     solo = run_harness(graphs, 7).to_json()
+    monkeypatch.setattr(oldset.harness, "_sweep", watched)
     pooled = run_harness(counted(), 7, jobs=2).to_json()
     assert pooled == solo
-    assert len(ahead) == len(submitted) == 14
-    assert max(ahead) <= 2 + 1
+    # worker 0's units, 0, 2, ..., 12; unit 0 with unit 1 peeked behind it
+    assert held == [128] + [64] * 6
+    _no_children_left()
+
+
+def _raise_in_unit(bad, exc):
+    sweep = oldset.harness._sweep
+
+    def failing(n, unit, items):
+        if unit == bad:
+            raise exc
+        return sweep(n, unit, items)
+
+    return failing
+
+
+def test_a_worker_that_raises_makes_the_sweep_raise(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 40)
+    graphs = list(enumerate_connected_graphs(6))  # 112 graphs, 3 chunks
+    # unit 1 is swept by the forked worker
+    monkeypatch.setattr(oldset.harness, "_sweep", _raise_in_unit(1, ValueError("unit one")))
+    with pytest.raises(RuntimeError, match="sweep worker 1 raised:(.|\n)*ValueError: unit one"):
+        run_harness(graphs, 6, jobs=2)
+    _no_children_left()
+    # units 0 and 2 are this process's; the forked worker is stopped
+    monkeypatch.setattr(oldset.harness, "_sweep", _raise_in_unit(2, KeyError("unit two")))
+    with pytest.raises(KeyError, match="unit two"):
+        run_harness(graphs, 6, jobs=2)
+    _no_children_left()
+
+
+def test_a_worker_that_dies_is_an_error_not_a_hang(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 40)
+    graphs = list(enumerate_connected_graphs(6))
+    sweep = oldset.harness._sweep
+
+    def dying(n, unit, items):
+        if unit == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sweep(n, unit, items)
+
+    monkeypatch.setattr(oldset.harness, "_sweep", dying)
+    with pytest.raises(RuntimeError, match="sweep worker 1 ended with wait status 9"):
+        run_harness(graphs, 6, jobs=2)
+    _no_children_left()
 
 
 def test_structured_dump_is_stable_and_timing_free():
@@ -692,3 +781,18 @@ def test_rendering_of_a_synthetic_failure():
 def test_run_harness_validates_arguments():
     with pytest.raises(ValueError):
         run_harness([], 3, jobs=0)
+
+
+def test_one_share_of_the_order_10_census_is_pinned():
+    # residue 7 of 500, the units a worker 7 of 500 would sweep: two of
+    # the 853 subtrees below the order-7 classes, about a second; the
+    # whole order-10 line is a CI job of its own
+    units = enumerate_connected_graphs(10)._units()
+    assert len(units) == 853
+    swept = oldset.harness._share(units, 10, 7, 500)
+    assert [i for i, _ in swept] == [7, 507]
+    scanned, locatable, errors, named = map(list, zip(*(row for _, row in swept)))
+    assert sum(scanned) == 23241
+    assert sum(locatable) == 22749
+    assert errors == [[], []]
+    assert named == [[], []]
