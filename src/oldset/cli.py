@@ -42,7 +42,7 @@ from .enumeration import MAX_BUILTIN_ORDER, enumerate_connected_graphs
 from .graph6 import GraphFormatError, parse_graph6, to_graph6
 from .graphs import CANONICAL_ORDER_LIMIT, Graph, NotLocatableError, vertices_of
 from .halfgraphs import _component_labelings, half_graph
-from .harness import _CHUNK, run_harness
+from .harness import run_harness
 
 __all__ = ["main", "run"]
 
@@ -81,29 +81,35 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _lines(path: str | None) -> Iterator[tuple[int, str]]:
+class _Lines:
     """(line number, stripped line) of each nonblank line of an ASCII
     file, or of stdin when path is None; blank lines count in the
     numbers.
 
-    The raw text is read and checked on the call, so a file that cannot
-    be opened or is not ASCII raises _InputError, which main reports in
-    one line as exit 2, before any record is handled.  Only the bytes
-    are kept: lines are split and decoded as they are reached.
+    The raw text is read and checked on construction, so a file that
+    cannot be opened or is not ASCII raises _InputError, which main
+    reports in one line as exit 2, before any record is handled.  Only
+    the bytes are kept: each iteration splits and decodes the lines
+    anew as they are reached, so every forked sweep worker reads its own.
     """
-    try:
-        if path is None:
-            data = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as handle:
-                data = handle.read()
-    except OSError as exc:
-        raise _InputError(f"cannot read {path or 'stdin'}: {exc.strerror or exc}")
-    if not data.isascii():
-        raise _InputError(f"cannot read {path or 'stdin'}: not ASCII text")
-    # newline=None splits lines as a file opened in text mode does
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
-    return ((i, line) for i, line in enumerate(map(str.strip, text), 1) if line)
+
+    def __init__(self, path: str | None):
+        try:
+            if path is None:
+                data = sys.stdin.buffer.read()
+            else:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+        except OSError as exc:
+            raise _InputError(f"cannot read {path or 'stdin'}: {exc.strerror or exc}")
+        if not data.isascii():
+            raise _InputError(f"cannot read {path or 'stdin'}: not ASCII text")
+        self._data = data
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        # newline=None splits lines as a file opened in text mode does
+        text = io.TextIOWrapper(io.BytesIO(self._data), encoding="ascii", newline=None)
+        return ((i, line) for i, line in enumerate(map(str.strip, text), 1) if line)
 
 
 def _parse(record: str) -> Graph | GraphFormatError:
@@ -115,9 +121,9 @@ def _parse(record: str) -> Graph | GraphFormatError:
 
 
 def _parsed_lines(path: str | None) -> Iterator[tuple]:
-    """(line number, record, parse) of each line _lines(path) gives,
+    """(line number, record, parse) of each line _Lines(path) gives,
     each record parsed as it is reached."""
-    return ((i, line, _parse(line)) for i, line in _lines(path))
+    return ((i, line, _parse(line)) for i, line in _Lines(path))
 
 
 def _records(args_graphs: list[str]) -> Iterator[tuple]:
@@ -241,32 +247,28 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    n = args.n
     if args.stream is None:
-        if args.n is None:
+        if n is None:
             raise _UsageError("verify needs --n, --stream, or both")
-        if not 1 <= args.n <= MAX_BUILTIN_ORDER:
+        if not 1 <= n <= MAX_BUILTIN_ORDER:
             raise _UsageError(
                 f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}; "
                 "pass --stream for other orders"
             )
-        items = enumerate_connected_graphs(args.n)
-        n = args.n
+        items = enumerate_connected_graphs(n)
     else:
         # (line number, record) pairs, which the sweep parses
-        items = _lines(None if args.stream == "-" else args.stream)
-        n = args.n
+        items = _Lines(None if args.stream == "-" else args.stream)
         if n is None:
             # the order of the first record that parses; the records up
             # to it are parsed again by the sweep, and none after it
             n = 0  # none parses, and the sweep reports them all
-            pulled = []
-            for record in items:
-                pulled.append(record)
-                first = _parse(record[1])
+            for _, record in items:
+                first = _parse(record)
                 if isinstance(first, Graph):
                     n = first.n
                     break
-            items = chain(pulled, items)
 
     report = run_harness(items, n, jobs=args.jobs)
     # an explicit order does not make an empty sweep a success; only a
@@ -341,10 +343,7 @@ def _build_parser() -> _Parser:
         "--jobs",
         type=_positive,
         default=1,
-        help="upper bound on worker processes, capped at the CPU count and "
-        f"at one per unit: a chunk of {_CHUNK} records, or one of the 853 "
-        "subtrees of a census of order 8 or more; a stream of one chunk and "
-        "a census of order 7 or less never fork",
+        help="upper bound on worker processes",
     )
     verify.set_defaults(entry=_cmd_verify)
     return parser

@@ -112,11 +112,11 @@ def domination_forced(g: Graph) -> dict[int, int]:
     return witness
 
 
-def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
-    """Map each location-forced vertex to its least witness pair (x, y),
-    x < y, in increasing order of the pairs."""
-    adj = g.adj
-    classes = _degree_classes(g)
+def _one_vertex_differences(
+    adj: tuple[VertexSet, ...], classes: dict[int, list[int]]
+) -> list[tuple[int, int, VertexSet]]:
+    """(x, y, N(x) ^ N(y)) for each x of degree d and y of degree d + 1
+    in classes, a map of degrees to vertices, whose rows differ in one vertex."""
     found = []
     # rows that differ in one vertex have adjacent degrees
     for degree, low in classes.items():
@@ -127,10 +127,17 @@ def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
                 for y in high:
                     diff = row ^ adj[y]
                     if diff & (diff - 1) == 0:
-                        found.append(((min(x, y), max(x, y)), diff))
+                        found.append((x, y, diff))
+    return found
+
+
+def location_forced(g: Graph) -> dict[int, tuple[int, int]]:
+    """Map each location-forced vertex to its least witness pair (x, y),
+    x < y, in increasing order of the pairs."""
+    pairs = _one_vertex_differences(g.adj, _degree_classes(g))
     witness: dict[int, tuple[int, int]] = {}
-    for pair, diff in sorted(found):
-        witness.setdefault(diff.bit_length() - 1, pair)
+    for x, y, diff in sorted((min(x, y), max(x, y), d) for x, y, d in pairs):
+        witness.setdefault(diff.bit_length() - 1, (x, y))
     return witness
 
 
@@ -149,17 +156,9 @@ def classify_forced(
     dom_mask = 0
     for w in classes.get(1, ()):
         dom_mask |= adj[w]
-    # location_forced's loop, ORed in place: the masks need no witness
     loc_mask = 0
-    for degree, low in classes.items():
-        high = classes.get(degree + 1)
-        if high:
-            for x in low:
-                row = adj[x]
-                for y in high:
-                    diff = row ^ adj[y]
-                    if diff & (diff - 1) == 0:
-                        loc_mask |= diff
+    for _, _, diff in _one_vertex_differences(adj, classes):
+        loc_mask |= diff
     unforced = (1 << g.n) - 1 & ~(dom_mask | loc_mask)
     return ForcedClassification(dom_mask, loc_mask, unforced)
 
@@ -172,7 +171,7 @@ def bondy_check(g: Graph) -> int:
     can never all be location-forced.
     """
     _require_locatable(g)
-    return len(location_forced(g))
+    return classify_forced(g).location_forced.bit_count()
 
 
 def _next_same_popcount(s: int) -> int:
@@ -256,9 +255,8 @@ def old_number(g: Graph) -> SolveResult:
     while stack:
         chosen, ban, unmet = stack.pop()
         nodes += 1
+        # none ends empty: one inside the ban would have fewer allowed vertices than e
         unmet = [f & ~ban for f in unmet if not f & chosen]
-        if 0 in unmet:  # a member with every vertex banned
-            continue
         bound = 0
         packed = 0
         for f in unmet:

@@ -156,19 +156,15 @@ def open_twins(g: Graph) -> list[tuple[int, int]]:
     """All pairs u < v with N(u) = N(v), sorted lexicographically.
 
     Open twins are never separated by any vertex subset, so a graph with
-    such a pair has no OLD set.
+    such a pair has no OLD set; they are the _twin_masks pairs with equal rows.
     """
-    by_nbhd: dict[VertexSet, list[int]] = {}
-    for v in range(g.n):
-        by_nbhd.setdefault(g.adj[v], []).append(v)
-    pairs = [
+    twin = _twin_masks(g, _degree_classes(g))
+    return [
         (u, v)
-        for group in by_nbhd.values()
-        for i, u in enumerate(group)
-        for v in group[i + 1 :]
+        for u in range(g.n)
+        for v in iter_bits(twin[u] >> u + 1 << u + 1)
+        if g.adj[u] == g.adj[v]
     ]
-    pairs.sort()
-    return pairs
 
 
 def is_old_set(g: Graph, s: VertexSet) -> bool:

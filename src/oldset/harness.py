@@ -17,15 +17,11 @@ counterexample unless the certificate, gamma = n and the half-graph
 test all agree: a wrong solver or forced-vertex analysis still fails.
 
 Removability is decided for every unforced vertex in one pass over the
-rows, not by one OLD-set test per vertex.  V is an OLD set, so dropping
-v breaks it exactly when some row N(w) through v is {v} or differs from
-another row in v alone.  The pass reads only g's rows and the unforced
-mask it is asked about; it shares no code with classify_forced, whose
-location-forced vertices come from comparing the rows of adjacent
-degrees, and it does not use that degree rule.  So a wrong
-classification still shows: a forced vertex called unforced is flagged,
-and a removable vertex called forced hides a witness, which the exact
-solve then contradicts.
+rows (_unremovable), not by one OLD-set test per vertex.  The pass
+shares no code with classify_forced and does not use its adjacent-degree
+rule, so a wrong classification still shows: a forced vertex called
+unforced is flagged, and a removable vertex called forced hides a
+witness, which the exact solve then contradicts.
 
 Reports are deterministic: findings are keyed and sorted by canonical
 certificate, ties by input index, so any relabeling or reordering of
@@ -38,21 +34,23 @@ on every input graph to key rows that are then dropped.
 
 The sweep works in units.  A census that enumerate_connected_graphs
 returns is split into the subtrees below its classes of order 7
-(enumeration._SPLIT_ORDER), so
-beyond order 7 no worker walks the whole census; any other input is
-pulled in chunks of _CHUNK items as the sweep goes.  For a census an
-item is a graph of the enumeration; for a stream it is a (record
-number, graph6 record) pair, which the sweep parses, examines and
-drops.  Each unit returns its counts, its parse errors and only its
-named rows, folded in unit order.  More than one job is an upper bound,
-not a promise of workers: a sweep forks only when it has more than one
-unit, a rule on the input's size alone (a stream of more than one
-chunk, a census of order 8 or more), so one input always takes the same
-path.  The workers are forked once the input is ready, this process
-being worker 0, and worker r sweeps the units whose index is r mod the
-worker count; each goes through every unit, passing over the others'
-without parsing a record or walking a subtree, and holds one chunk at
-a time past the first W, peeked at to count them.  Only rows come back over the pipes, never a graph.
+(enumeration._SPLIT_ORDER), so beyond order 7 no worker walks the whole
+census; any other input is pulled in chunks of _CHUNK items as the
+sweep goes.  For a census an item is a graph of the enumeration; for a
+stream it is a (record number, graph6 record) pair, which the sweep
+parses, examines and drops.  Each unit returns its counts, its parse
+errors and only its named rows, folded in unit order.  More than one
+job is an upper bound, not a promise of workers: a sweep forks only
+when it has more than one unit, a rule on the input alone (a census of
+order 8 or more, or a re-iterable input of more than one chunk; an
+iterator is swept in process), so one input always takes the same path.
+The workers are forked once the input is ready, this process being
+worker 0, and worker r sweeps the units whose index is r mod the worker
+count.  Each goes through every unit (see _share) and holds one chunk
+at a time past the first W + 1, peeked at to count them.  A forked
+worker inherits a census's units, and an input that the peek read to
+its end; it iterates any other input afresh.  Only rows come back over
+the pipes, never a graph.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ import os
 import sys
 import time
 from itertools import chain, islice
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .domination import classify_forced, old_number
 from .enumeration import _Census
@@ -242,6 +240,12 @@ def _examine(g: Graph) -> _Row:
     return _Row(g.n, True, extremal, gamma, half, bondy_bad, prop2_bad)
 
 
+def _chunks(items: Iterable) -> Iterator[list]:
+    """Lists of the next _CHUNK items of items, pulled as they are asked for."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _CHUNK)), [])
+
+
 def _sweep(
     n: int, unit: int, items: Iterable[Graph | tuple[int, str]]
 ) -> tuple[int, int, list[str], list[tuple[str, tuple[int, int], _Row]]]:
@@ -260,9 +264,7 @@ def _sweep(
     # taken _CHUNK items at a time: walking part of a census subtree and
     # then examining it is faster than interleaving the two (the order-7
     # census went 33.5 to 31 ms), and a chunk is all that is held
-    items = iter(items)
-    chunks = iter(lambda: list(islice(items, _CHUNK)), [])
-    for index, item in enumerate(chain.from_iterable(chunks)):
+    for index, item in enumerate(chain.from_iterable(_chunks(items))):
         if isinstance(item, Graph):
             g = item
         else:
@@ -290,14 +292,15 @@ def _share(units: Iterable[Iterable], n: int, r: int, w: int) -> list[tuple[int,
     return [(i, _sweep(n, i, unit)) for i, unit in enumerate(units) if i % w == r]
 
 
-def _forked(units: Iterable[Iterable], n: int, w: int) -> list[tuple[int, tuple]]:
+def _forked(
+    units: Iterable[Iterable], n: int, w: int, again: Iterable | None
+) -> list[tuple[int, tuple]]:
     """_share(units, n, r, w) for r = 0..w-1, in one list.
 
-    This process is worker 0.  Each other worker is a child forked once
-    the input is ready, so it inherits units as they stand; it sends its
-    results back pickled, over a pipe, and ends with os._exit.  A child
-    that raises, or that dies, makes this raise once the children have
-    ended.
+    This process is worker 0, and each other worker is a child forked
+    once the input is ready (see _child), which sends its results back
+    pickled, over a pipe.  A child that raises, or that dies, makes
+    this raise once the children have ended.
     """
     # only a sweep that forks imports these, and before the fork, so
     # that no child imports pickle again
@@ -313,7 +316,7 @@ def _forked(units: Iterable[Iterable], n: int, w: int) -> list[tuple[int, tuple]
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(units, n, r, w, write)
+                _child(units, n, r, w, write, again)
             os.close(write)
             children.append((r, pid, read))
         swept = _share(units, n, 0, w)
@@ -328,12 +331,17 @@ def _forked(units: Iterable[Iterable], n: int, w: int) -> list[tuple[int, tuple]
             os.waitpid(pid, 0)
 
 
-def _child(units: Iterable[Iterable], n: int, r: int, w: int, write: int) -> None:
-    """Worker r's life in a forked child: sweep its share, send the
+def _child(
+    units: Iterable, n: int, r: int, w: int, write: int, again: Iterable | None
+) -> None:
+    """Worker r's life in a forked child: sweep its share of units as
+    inherited or, given again, of its own iteration of again; send the
     results (or the traceback of what it raised) through write, exit."""
     status = 1
     try:
         try:
+            if again is not None:
+                units = _chunks(again)
             payload = (True, _share(units, n, r, w))
         except BaseException:
             import traceback
@@ -376,23 +384,15 @@ def run_harness(
     distinct numbers in increasing order, which the sweep parses; a
     record that does not parse is not scanned, and adds "record N:
     reason" to the report's record errors, in input order and ahead of
-    the order mismatches.  Every locatable graph gets all
-    three checks from one forced-vertex analysis.  A graph is extremal
-    exactly when no unforced v leaves V - v an OLD set: supersets of
-    OLD sets are OLD sets and a forced vertex can never be dropped.
-    Only graphs that this certificate or half-graph recognition calls
-    extremal are solved exactly, and only graphs that land in a report
-    list get a canonical certificate.
+    the order mismatches.  The checks, and which graphs are solved and
+    canonicalised, are the module docstring's.
 
-    The sweep's units of work are the subtrees of a census that
-    enumerate_connected_graphs returns (see its _units), or else chunks
-    of _CHUNK items pulled from graphs as the sweep goes.  jobs > 1
-    allows min(jobs, CPU count, units) workers, forked where os.fork
-    exists, worker r sweeping the units whose index is r mod the worker
-    count.  Every worker goes through all of graphs, so a plain iterable
-    must hold its items in memory, as a list or the CLI's reader does,
-    not read them from a file as it goes.  The path cannot change the
-    report.
+    jobs > 1 allows min(jobs, CPU count, units) workers where os.fork
+    exists, dealt the units as the module docstring says.  A forked
+    worker may iterate graphs afresh, so only a census or a re-iterable
+    graphs (iter(graphs) is not graphs), such as a list or the CLI's
+    reader, is shared out; an iterator is swept in this process.  The
+    path cannot change the report.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -401,16 +401,22 @@ def run_harness(
     if isinstance(graphs, _Census):
         units = graphs._units()
         workers = min(cap, len(units))
+        again = None  # forked workers inherit the units
     else:
         items = iter(graphs)
-        chunks = iter(lambda: list(islice(items, _CHUNK)), [])
-        # never more workers than chunks: peek at up to cap of them,
+        if items is graphs:
+            # an iterator, which forked workers would all pull
+            cap = 1
+        chunks = _chunks(items)
+        # never more workers than chunks: peek at up to cap of them, and if
+        # cap > 1 one more, as forked workers inherit an input peeked whole;
         # reversed so that each is popped, and freed, as a worker passes it
-        peeked = list(islice(chunks, cap))[::-1]
-        workers = len(peeked)
-        units = chain((peeked.pop() for _ in range(workers)), chunks)
+        peeked = list(islice(chunks, cap + (cap > 1)))[::-1]
+        workers = min(cap, len(peeked))
+        again = graphs if len(peeked) > workers else None
+        units = chain((peeked.pop() for _ in range(len(peeked))), chunks)
     if workers > 1:
-        swept = sorted(_forked(units, n, workers))
+        swept = sorted(_forked(units, n, workers, again))
     else:
         swept = _share(units, n, 0, 1)
 

@@ -20,6 +20,7 @@ from oldset import (
     iter_bits,
     location_forced,
     mask_of,
+    open_twins,
 )
 from oldset.graphs import _degree_classes
 
@@ -194,6 +195,9 @@ def _assert_matches_reference(g: Graph) -> None:
     assert classify_forced(g, _degree_classes(g)) == parts
     # the row-set locatability test against the OLD-set test on V
     assert is_locatable(g) == is_old_set(g, (1 << g.n) - 1)
+    assert open_twins(g) == [
+        (u, v) for u, v in combinations(range(g.n), 2) if g.adj[u] == g.adj[v]
+    ]
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -62,6 +62,15 @@ def test_rejects_malformed_records():
     _rejects("~~???")      # truncated 6-byte size prefix
 
 
+def test_a_6_byte_size_prefix_needs_its_whole_body():
+    # 258,048 is the least order that takes the 6-byte form; its body
+    # would be billions of bytes, and one is found
+    n = 258048
+    size = "".join(chr(63 + (n >> shift & 63)) for shift in (30, 24, 18, 12, 6, 0))
+    with pytest.raises(GraphFormatError, match=f"order {n} needs [0-9]+ data bytes, found 1"):
+        parse_graph6("~~" + size + "?")
+
+
 def _record(n: int, body: list[int]) -> str:
     return chr(63 + n) + "".join(chr(63 + value) for value in body)
 

@@ -99,7 +99,16 @@ def test_graph_constructor_validates():
     _rejects(Graph, 2, (0b10, 0b00))     # asymmetric
     _rejects(Graph, 1, (0b01,))          # self-loop
     _rejects(Graph, 1, (0b10,))          # out of range
+    _rejects(Graph, -1, ())              # negative order
     assert Graph(0, ()).n == 0
+
+
+def test_graph_equality_and_repr():
+    g = from_edges(3, [(1, 2), (0, 1)])
+    # a graph is equal to no other type, and says so by NotImplemented
+    assert g.__eq__(5) is NotImplemented
+    assert (g == 5) is False and g != 5
+    assert repr(g) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
 
 
 def test_graph_is_immutable_and_hashable():
@@ -205,6 +214,10 @@ def test_connected_components_trivial_cases():
     assert component_masks(empty3) == [1, 2, 4]
     assert [sub.n for sub, _ in _components(empty3)] == [1, 1, 1]
     assert component_masks(Graph(0, ())) == []
+
+
+def test_induced_subgraph_rejects_a_mask_beyond_the_order():
+    _rejects(induced_subgraph, _k(3), 0b1000)
 
 
 def test_disjoint_union_shifts_second_graph():

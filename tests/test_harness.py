@@ -379,14 +379,33 @@ def test_report_deterministic_across_worker_counts():
 
 def _dealt_in_process(calls):
     """A stand-in for harness._forked that records each worker count in
-    calls and sweeps every worker's share in this process."""
+    calls and sweeps every worker's share in this process, each worker
+    but 0 from the chunks of its own iteration of again when given."""
 
-    def forked(units, n, w):
+    def forked(units, n, w, again):
         calls.append(w)
         units = list(units)
-        return [row for r in range(w) for row in oldset.harness._share(units, n, r, w)]
+        rows = oldset.harness._share(units, n, 0, w)
+        for r in range(1, w):
+            mine = units if again is None else oldset.harness._chunks(again)
+            rows += oldset.harness._share(mine, n, r, w)
+        return rows
 
     return forked
+
+
+class _Pulled:
+    """A re-iterable over items that counts the items that this process
+    pulls from it, over all its iterations."""
+
+    def __init__(self, items):
+        self.items = items
+        self.count = 0
+
+    def __iter__(self):
+        for item in self.items:
+            self.count += 1
+            yield item
 
 
 def _counted_forks(monkeypatch):
@@ -519,28 +538,26 @@ def test_the_sweep_pulls_a_stream_one_chunk_at_a_time(monkeypatch, tmp_path, cap
     argv = ["verify", "--stream", str(path), "--format", "structured"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    lines = oldset.cli._lines
-    pulled = 0
+    lines = _Pulled(oldset.cli._Lines(str(path)))
 
     def counted(path):
-        nonlocal pulled
-        for record in lines(path):
-            pulled += 1
-            yield record
+        return lines
 
     ahead = []
     sweep = oldset.harness._sweep
 
     def watched(n, unit, items):
-        ahead.append(pulled - 3 * unit)
+        ahead.append(lines.count - 3 * unit)
         return sweep(n, unit, items)
 
-    monkeypatch.setattr(oldset.cli, "_lines", counted)
+    monkeypatch.setattr(oldset.cli, "_Lines", counted)
     monkeypatch.setattr(oldset.harness, "_sweep", watched)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
     assert json.loads(expected)["graphs_scanned"] == 21
-    assert ahead == [3] * 7
+    # the chunk being examined, and the first record, which was pulled
+    # once more to find the order
+    assert ahead == [4] * 7
 
 
 def _holds_a_graph(value) -> bool:
@@ -638,32 +655,67 @@ def test_a_real_pool_keeps_the_report(monkeypatch):
 def test_a_pool_holds_a_bounded_number_of_chunks(monkeypatch):
     # 853 graphs of order 7 in chunks of 64 make 14 chunks; the input
     # comes from a list, so it could be pulled far faster than two
-    # workers sweep it.  Worker 0, this process, holds the two chunks
+    # workers sweep it.  Worker 0, this process, holds the three chunks
     # peeked at before the fork, then only the chunk it sweeps
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(oldset.harness, "_CHUNK", 64)
     graphs = list(enumerate_connected_graphs(7))
-    pulled = 0
-
-    def counted():
-        nonlocal pulled
-        for g in graphs:
-            pulled += 1
-            yield g
-
+    pulled = _Pulled(graphs)
     held = []
     sweep = oldset.harness._sweep
 
     def watched(n, unit, items):
-        held.append(pulled - 64 * unit)
+        held.append(pulled.count - 64 * unit)
         return sweep(n, unit, items)
 
     solo = run_harness(graphs, 7).to_json()
     monkeypatch.setattr(oldset.harness, "_sweep", watched)
-    pooled = run_harness(counted(), 7, jobs=2).to_json()
+    pooled = run_harness(pulled, 7, jobs=2).to_json()
     assert pooled == solo
-    # worker 0's units, 0, 2, ..., 12; unit 0 with unit 1 peeked behind it
-    assert held == [128] + [64] * 6
+    # worker 0's units, 0, 2, ..., 12; unit 0 with units 1 and 2 peeked
+    # behind it
+    assert held == [192] + [64] * 6
+    _no_children_left()
+
+
+def test_a_lazy_file_input_gives_the_one_process_report(monkeypatch, tmp_path):
+    # forked workers that all pulled one iterator over an open file would
+    # read it through one shared file offset, each its own part of the
+    # records, so an iterator is swept in process; a re-iterable that
+    # opens the file on each iteration is still shared out
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 500)
+    rng = random.Random(5)
+    edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    path = tmp_path / "lazy.g6"
+    path.write_text(
+        "".join(
+            to_graph6(from_edges(10, [e for e in edges if rng.random() < 0.4])) + "\n"
+            for _ in range(4000)
+        )
+    )
+
+    def records(handle):
+        return ((i, line.strip()) for i, line in enumerate(handle, 1))
+
+    class Reopened:
+        def __iter__(self):
+            with open(path) as handle:
+                yield from records(handle)
+
+    forks = _counted_forks(monkeypatch)
+    with open(path) as handle:
+        solo = run_harness(records(handle), 10).to_json()
+    assert json.loads(solo)["graphs_scanned"] == 4000
+    assert json.loads(solo)["record_errors"] == []
+    with open(path) as handle:
+        assert run_harness(records(handle), 10, jobs=2).to_json() == solo
+    assert forks == []
+    assert run_harness(Reopened(), 10, jobs=2).to_json() == solo
+    # two chunks, both peeked at, so the forked worker inherits them
+    monkeypatch.setattr(oldset.harness, "_CHUNK", 2000)
+    assert run_harness(Reopened(), 10, jobs=2).to_json() == solo
+    assert len(forks) == 2
     _no_children_left()
 
 
