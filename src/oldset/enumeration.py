@@ -55,8 +55,16 @@ lies in x's orbit.  Triangles are compared on the child once it is
 built, before any labeling, and only with the other tied rivals: one
 with more triangles than x rejects the child, and one with fewer is no
 tie.  A child left with no tied rival but twins of x has v* in x's
-orbit and is kept unlabeled.  Only the rest are labeled, to find v* and
-the orbit of x.
+orbit and is kept unlabeled.  At the order asked for, a child with
+other tied rivals is first searched for an automorphism that takes x to
+each of them; when every one is found, all the tied vertices, v* among
+them, lie in x's orbit, and the child is kept unlabeled too.  The search
+only ever keeps, and only children that the rule keeps, so the kept
+children and their order are the same as with a labeling.  Below that
+order a kept child is labeled for its generators anyway, so the search
+is not tried there, nor above order 9 (_SEARCH_ORDER), where most
+searches fail.  Only the rest are labeled, to find v* and the orbit of
+x.
 
 The classes are walked depth first from K_1, so memory holds one path
 of parents, not whole orders: each kept child below the order asked
@@ -187,20 +195,82 @@ def _orbit_representatives(masks: Iterable[int], gens: _Gens) -> Iterator[int]:
         while stack:
             current = stack.pop()
             for p in gens:
+                # bit by bit, as iter_bits does but inline: this loop is
+                # the walk's most frequent
                 image = 0
-                for v in iter_bits(current):
-                    image |= 1 << p[v]
+                rest = current
+                while rest:
+                    low = rest & -rest
+                    image |= 1 << p[low.bit_length() - 1]
+                    rest ^= low
                 if image not in seen:
                     seen.add(image)
                     stack.append(image)
 
 
-def _children(parent: Graph, gens: _Gens) -> Iterator[tuple[Graph, _Labeling | None]]:
+def _automorphism(adj: tuple[int, ...], a: int, b: int) -> list[int] | None:
+    """An automorphism of the connected graph with rows adj that takes a
+    to b, as the image of each vertex, or None when there is none.
+
+    The other vertices are mapped in BFS order from a.  Each one's image
+    is an unused neighbour of its BFS parent's image, of equal degree,
+    whose edges to the images placed so far are the images of its own
+    edges to the vertices placed so far; so a completed map is an
+    automorphism by construction.  Bits are taken inline, low bit first
+    as iter_bits takes them: the search runs for each tied rival of a
+    leaf.
+    """
+    deg = [row.bit_count() for row in adj]
+    order, tree = [a], [a]  # BFS order from a, and each vertex's BFS parent
+    seen = 1 << a
+    for v in order:
+        rest = adj[v] & ~seen
+        seen |= rest
+        while rest:
+            low = rest & -rest
+            order.append(low.bit_length() - 1)
+            tree.append(v)
+            rest ^= low
+    image = [0] * len(adj)
+    image[a] = b
+
+    def extend(i: int, placed: int, used: int) -> bool:
+        if i == len(order):
+            return True
+        c = order[i]
+        want = 0  # the images of c's neighbours placed so far
+        rest = adj[c] & placed
+        while rest:
+            low = rest & -rest
+            want |= 1 << image[low.bit_length() - 1]
+            rest ^= low
+        rest = adj[image[tree[i]]] & ~used
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = low.bit_length() - 1
+            if deg[d] == deg[c] and adj[d] & used == want:
+                image[c] = d
+                if extend(i + 1, placed | 1 << c, used | low):
+                    return True
+        return False
+
+    found = deg[a] == deg[b] and extend(1, 1 << a, 1 << b)
+    del extend  # its closure cell refers to it: one reference cycle a call
+    return image if found else None
+
+
+def _children(
+    parent: Graph, gens: _Gens, search: bool
+) -> Iterator[tuple[Graph, _Labeling | None]]:
     """The children of parent that the orbit rule keeps, in mask order.
 
     gens must generate the parent's full automorphism group.  The
     triangle tie-break is decided on the built child, and each child
-    comes with its labeling when the rule needed one, else None.
+    comes with its labeling when the rule needed one, else None.  With
+    search, a child is also kept unlabeled when automorphisms take x to
+    each tied rival; _walk asks for that only for leaves it yields
+    unlabeled.
     """
     x = parent.n
     accepted = _accepted_masks(parent)
@@ -210,18 +280,18 @@ def _children(parent: Graph, gens: _Gens) -> Iterator[tuple[Graph, _Labeling | N
         # tied rivals that are not twins of x: a twin u has N(u) - x =
         # N(x) - u, so swapping u and x is an automorphism
         rivals = [u for u in iter_bits(ties) if parent.adj[u] != mask & ~(1 << u)]
+        rows = child.adj
         if rivals:
             # the third invariant, on the built child: a rival with more
             # triangles than x rejects the child, one with fewer is no tie
-            rows = child.adj
             tri_x = _triangles(rows, mask)
             tri = [_triangles(rows, rows[u]) for u in rivals]
             if max(tri) > tri_x:
                 continue
             ties &= ~sum(1 << u for u, t in zip(rivals, tri) if t < tri_x)
             rivals = [u for u, t in zip(rivals, tri) if t == tri_x]
-        if not rivals:
-            # no rival, or only twins of x, which share its orbit
+        if not rivals or search and all(_automorphism(rows, x, u) for u in rivals):
+            # every tie, twins of x among them, shares x's orbit
             yield child, None
             continue
         labeling = _canonical_labeling(child)
@@ -233,13 +303,22 @@ def _children(parent: Graph, gens: _Gens) -> Iterator[tuple[Graph, _Labeling | N
             yield child, labeling
 
 
+# the largest order whose leaves are searched for automorphisms before
+# they are labeled.  Fewer searches succeed as the order grows, since
+# fewer graphs have symmetries: 63% at order 8, 32% at order 9 and 14%
+# at order 10, where on a seeded slice of the walk the searches took
+# more time than the labelings they saved (0.85 s against 0.6 s)
+_SEARCH_ORDER = 9
+
+
 def _walk(parent: Graph, gens: _Gens, n: int, labeled: bool = False) -> Iterator:
     """Each connected class of order n that descends from parent, in
     generation order; gens must generate parent's full automorphism
     group.  A kept child below order n is labeled and walked in turn.
     With labeled, each class comes canonically labeled, with the
     generators of its group, ready to be walked itself."""
-    for child, labeling in _children(parent, gens):
+    search = parent.n + 1 == n <= _SEARCH_ORDER and not labeled
+    for child, labeling in _children(parent, gens, search):
         if child.n == n and not labeled:
             yield child
             continue

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from oldset import (
 import oldset.enumeration
 from oldset.enumeration import (
     _accepted_masks,
+    _automorphism,
     _children,
     _extend,
     _orbit_representatives,
@@ -128,9 +129,9 @@ def _walked_parents(n: int) -> dict[int, list[tuple[Graph, tuple]]]:
     the generators it is extended by, in the order the walk reaches them."""
     parents: dict[int, list[tuple[Graph, tuple]]] = {}
 
-    def recorded(parent, gens):
+    def recorded(parent, gens, search):
         parents.setdefault(parent.n, []).append((parent, gens))
-        return _children(parent, gens)
+        return _children(parent, gens, search)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oldset.enumeration, "_children", recorded)
@@ -309,7 +310,9 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     # the children whose new vertex ties a rival that is not its twin on
     # all three invariants (358 labelings, 214 at order 7, before
     # triangles broke ties), and a labeled child that is kept keeps its
-    # labeling as a parent
+    # labeling as a parent.  At order 7 a leaf is labeled only when some
+    # tied rival is not found to be an image of its new vertex under an
+    # automorphism (157 labelings before that search)
     built = []
     labeled = []
 
@@ -325,10 +328,15 @@ def test_only_max_degree_non_cut_children_are_labeled(monkeypatch):
     monkeypatch.setattr(oldset.enumeration, "_canonical_labeling", counted_labeling)
     assert len(list(enumerate_connected_graphs(7))) == 853
     assert len(built) == 1049
-    assert len(labeled) == 299
+    assert len(labeled) == 184
     assert labeled.count(1) == 0
     # the swept order is labeled only where the rule needs it
-    assert labeled.count(7) == 157
+    assert labeled.count(7) == 42
+    # through order 8: 2,889 before the automorphism search
+    labeled.clear()
+    assert len(list(enumerate_connected_graphs(8))) == 11117
+    assert len(labeled) == 1846
+    assert labeled.count(8) == 830
 
 
 def test_parent_side_filter_matches_the_rule_on_built_children():
@@ -387,14 +395,15 @@ def _orbit_rule(child: Graph) -> bool:
 
 def test_unlabeled_verdicts_match_the_orbit_rule():
     # every orbit representative child of every parent of order 1..6,
-    # kept or not, against the rule on the labeled child
+    # kept or not, against the rule on the labeled child; the automorphism
+    # search is asked for at every order, so its verdicts are checked too
     walked = _walked_parents(7)
     for m in range(1, 7):
         certs = []
         unlabeled = 0
         for parent, gens in walked[m]:
             kept = set()
-            for child, labeling in _children(parent, gens):
+            for child, labeling in _children(parent, gens, True):
                 kept.add(child.adj)
                 unlabeled += labeling is None
                 certs.append(canonical_form(child))
@@ -402,8 +411,51 @@ def test_unlabeled_verdicts_match_the_orbit_rule():
                 child = _extend(parent, mask)
                 assert (child.adj in kept) == _orbit_rule(child)
         assert len(set(certs)) == len(certs) == CONNECTED_COUNTS[m + 1]
-    # most kept children need no labeling: at order 7, 717 of 853
-    assert unlabeled == 717
+    # most kept children need no labeling: at order 7, 832 of 853 (717
+    # without the automorphism search)
+    assert unlabeled == 832
+
+
+def _orbits(g: Graph) -> list[int]:
+    # orbit[v], the mask of v's orbit, from every permutation within the
+    # degree classes that is an automorphism; an automorphism keeps
+    # degrees, so these are all of them
+    classes = {}
+    for v in range(g.n):
+        classes.setdefault(g.degree(v), []).append(v)
+    orbit = [1 << v for v in range(g.n)]
+    for parts in product(*(permutations(c) for c in classes.values())):
+        perm = [0] * g.n
+        for c, images in zip(classes.values(), parts):
+            for v, image in zip(c, images):
+                perm[v] = image
+        if _is_automorphism(g, perm):
+            for v in range(g.n):
+                orbit[v] |= 1 << perm[v]
+    return orbit
+
+
+def test_automorphism_search_matches_brute_force_orbits():
+    # every connected atlas graph of order <= 7 and every vertex pair:
+    # the search finds a map exactly when a and b share an orbit, and
+    # each map it finds is an automorphism taking a to b
+    nx = pytest.importorskip("networkx")
+    pairs = 0
+    for h in nx.graph_atlas_g():
+        if len(h) == 0 or not nx.is_connected(h):
+            continue
+        g = Graph(len(h), [sum(1 << u for u in h[v]) for v in range(len(h))])
+        orbit = _orbits(g)
+        for a in range(g.n):
+            for b in range(g.n):
+                perm = _automorphism(g.adj, a, b)
+                assert (perm is not None) == bool(orbit[a] >> b & 1)
+                if perm is not None:
+                    assert perm[a] == b
+                    assert sorted(perm) == list(range(g.n))
+                    assert _is_automorphism(g, perm)
+                pairs += 1
+    assert pairs == sum(CONNECTED_COUNTS[n] * n * n for n in range(1, 8))
 
 
 def test_cut_vertices_match_networkx_articulation_points():
